@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repository gate: formatting, static checks, the full test suite under
+# Repository gate: formatting, static checks, the benchmark module's
+# vet and short tests, the full test suite under
 # the race detector (including the observability stress test, the
 # fault-injection matrix, the engine soak and the engine goroutine-leak
 # check, and the server e2e/drain/soak suite), the cache stampede soak
@@ -32,6 +33,13 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== benchmark module: vet + short tests =="
+# bench/ is its own Go module (replace lzssfpga => ../), so ./... does
+# not reach it. It imports the matcher, the frame parser and the
+# multiplexed client, so a refactor of those internals must fail here
+# rather than only in a benchmark run.
+(cd bench && go vet . && go test -short -count=1 .)
 
 echo "== go test -race =="
 go test -race ./...

@@ -255,6 +255,83 @@ func TestNonRetryableFailsFast(t *testing.T) {
 	}
 }
 
+// TestFrontOversizeThroughSmallerBackend: a backend whose request cap
+// is below the front's rejects the routed request in-band under its
+// request ID, so the caller sees the deterministic ErrTooLarge after
+// one attempt — not a poisoned backend connection retried across the
+// fleet until it surfaces as a retryable busy.
+func TestFrontOversizeThroughSmallerBackend(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetObservability(reg)
+	defer SetObservability(nil)
+
+	srv, err := server.New(server.Config{Segment: 16 << 10, MaxInflight: 64, MaxRequestBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tcp, err := srv.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCluster(t, []BackendSpec{{TCP: tcp}}, nil)
+	f := NewFront(c, FrontConfig{})
+	addr, err := f.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mx, err := client.DialMux(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := mx.Compress(ctx, bytes.Repeat([]byte{7}, 4<<10)); !errors.Is(err, server.ErrTooLarge) {
+		t.Fatalf("want ErrTooLarge, got %v", err)
+	}
+	if v := reg.Counter(obs.ClusterRetries).Value(); v != 0 {
+		t.Fatalf("deterministic rejection burned %d retries", v)
+	}
+}
+
+// TestFrontOversizeAnswersTooLarge: the front's own request cap
+// answers StatusTooLarge, as lzssd does — not StatusCorrupt — to a
+// serial client and, under the request ID, to a multiplexed one.
+func TestFrontOversizeAnswersTooLarge(t *testing.T) {
+	b := newTestBackend(t)
+	c := newTestCluster(t, []BackendSpec{{TCP: b.tcp}}, nil)
+	f := NewFront(c, FrontConfig{MaxRequestBytes: 1 << 10})
+	addr, err := f.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	payload := bytes.Repeat([]byte{7}, 4<<10)
+
+	tc, err := client.DialTCP(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	tc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	if _, err := tc.Compress(payload); !errors.Is(err, server.ErrTooLarge) {
+		t.Fatalf("serial client: want ErrTooLarge, got %v", err)
+	}
+
+	mx, err := client.DialMux(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := mx.Compress(ctx, payload); !errors.Is(err, server.ErrTooLarge) {
+		t.Fatalf("multiplexed client: want ErrTooLarge, got %v", err)
+	}
+}
+
 // TestExhaustionClassifiedRetryable: with every member unreachable the
 // attempt budget drains and the error wraps ErrBudgetExhausted (the
 // front maps it to the retryable busy status).

@@ -225,7 +225,9 @@ func (f *Front) serveConn(nc net.Conn) {
 		msg, err := server.ReadMessage(br, f.cfg.MaxRequestBytes)
 		if err != nil {
 			if errors.Is(err, server.ErrCorrupt) {
-				f.writeResponse(fc, nil, server.StatusCorrupt, []byte(err.Error())) //nolint:errcheck
+				// msg is the partly parsed header on a cap rejection, so
+				// the answer carries the request ID; nil otherwise.
+				f.writeResponse(fc, msg, statusOf(err), []byte(err.Error())) //nolint:errcheck
 			}
 			return
 		}

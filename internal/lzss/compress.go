@@ -33,13 +33,7 @@ func CompressAppend(dst []token.Command, src []byte, p Params) ([]token.Command,
 		copy(grown, dst)
 		dst = grown
 	}
-	if p.SA && p.Lazy {
-		dst = compressSAOptimal(m, src, dst)
-	} else if p.Lazy {
-		dst = compressLazy(m, src, dst)
-	} else {
-		dst = compressGreedy(m, src, dst)
-	}
+	dst = compressBlock(m, src, dst)
 	m.FlushObs()
 	return dst, stats, nil
 }
@@ -52,15 +46,22 @@ func CompressAppend(dst []token.Command, src []byte, p Params) ([]token.Command,
 func CompressReuse(dst []token.Command, m *Matcher, src []byte) []token.Command {
 	m.Reset(src)
 	m.stats.InputBytes += int64(len(src))
-	if m.p.SA && m.p.Lazy {
-		dst = compressSAOptimal(m, src, dst)
-	} else if m.p.Lazy {
-		dst = compressLazy(m, src, dst)
-	} else {
-		dst = compressGreedy(m, src, dst)
-	}
+	dst = compressBlock(m, src, dst)
 	m.FlushObs()
 	return dst
+}
+
+// compressBlock runs m's matching policy over the whole of src.
+func compressBlock(m *Matcher, src []byte, dst []token.Command) []token.Command {
+	switch {
+	case m.p.SA && m.p.Lazy:
+		return compressSAOptimal(m, src, dst)
+	case m.p.Lazy:
+		return compressLazy(m, src, dst)
+	default:
+		dst, _, _ = compressGreedy(m, src, dst, 0, len(src), 0)
+		return dst
+	}
 }
 
 // CompressTail compresses buf[origin:] appending into dst, with
@@ -68,15 +69,15 @@ func CompressReuse(dst []token.Command, m *Matcher, src []byte) []token.Command 
 // the prefix so early matches can reach back into it (distances may
 // exceed the number of produced bytes, up to Window-1 beyond). The
 // matcher is Reset to buf and must have been built with the desired
-// Params; matching over the tail is always greedy, mirroring
-// CompressWithDict. This is the dictionary carry-over path of the
-// parallel compressor — because predecessor bytes are adjacent in the
-// input, no dictionary copy is needed.
+// Params; matching over the tail is always greedy. This is the
+// dictionary carry-over path of the parallel compressor — because
+// predecessor bytes are adjacent in the input, no dictionary copy is
+// needed — and the body of CompressWithDict.
 func CompressTail(dst []token.Command, m *Matcher, buf []byte, origin int) []token.Command {
 	m.Reset(buf)
 	m.stats.InputBytes += int64(len(buf) - origin)
 	m.InsertRange(0, m.insertEnd(origin))
-	dst = compressGreedyFrom(m, buf, origin, dst)
+	dst, _, _ = compressGreedy(m, buf, dst, origin, len(buf), 0)
 	m.FlushObs()
 	return dst
 }
@@ -99,74 +100,40 @@ func emitCopy(cmds []token.Command, m *Matcher, dist, length int) []token.Comman
 const maxSkipStride = 128
 
 // compressGreedy is the matching policy the hardware implements: take
-// the longest match at the current position or emit one literal.
-func compressGreedy(m *Matcher, src []byte, cmds []token.Command) []token.Command {
-	return compressGreedyFrom(m, src, 0, cmds)
-}
-
-// compressGreedyFrom runs the greedy policy over src[start:]; positions
-// before start are assumed pre-inserted history. Generation-two
-// configurations (4-byte heads and/or match-skip) take their own loop;
-// the generation-one loop below is bit-for-bit the hardware's policy.
-func compressGreedyFrom(m *Matcher, src []byte, start int, cmds []token.Command) []token.Command {
-	if m.p.gen2() {
-		return compressGreedyGen2(m, src, start, cmds)
-	}
-	pos := start
-	for pos < len(src) {
-		if len(src)-pos < token.MinMatch {
-			// Too little left to hash; flush as literals.
-			for ; pos < len(src); pos++ {
-				cmds = emitLit(cmds, m, src[pos])
-			}
-			break
-		}
-		length, dist := m.FindMatch(pos)
-		if length >= token.MinMatch {
-			cmds = emitCopy(cmds, m, dist, length)
-			// Full hash-table update only for short matches — the
-			// hardware decides this on match length (paper §IV); long
-			// matches skip insertion to keep the 1 cycle/byte update
-			// cost bounded.
-			end := pos + length
-			if length <= m.p.InsertLimit {
-				to := end
-				if limit := len(src) - token.MinMatch + 1; to > limit {
-					to = limit
-				}
-				m.InsertRange(pos+1, to)
-			}
-			pos = end
-		} else {
-			cmds = emitLit(cmds, m, src[pos])
-			pos++
-		}
-	}
-	return cmds
-}
-
-// compressGreedyGen2 is the generation-two greedy loop: the same
-// longest-match-or-literal policy, plus match-skip acceleration — after
-// R consecutive failed probes the loop advances 1 + R>>SkipTrigger
-// positions per literal run (capped at maxSkipStride), neither probing
-// nor inserting the stepped-over positions — and the 4-byte-head probe
-// (findMatch4, with its batched prefetch) when Hash4 is set. On
-// incompressible input the stride growth turns the dead chain walks the
-// generation-one loop performs at every position into a near-memcpy
-// literal sweep; one found match resets the stride to 1.
-func compressGreedyGen2(m *Matcher, src []byte, start int, cmds []token.Command) []token.Command {
+// the longest match at the current position or emit a literal. It is
+// the one greedy loop behind every front end — whole blocks, the
+// dictionary tail and the sliding stream.
+//
+// It decides every position in [pos, stop) and returns the commands,
+// the next undecided position and the count of consecutive failed
+// probes since the last match. A decision may run past stop (a match,
+// or a skipped literal run) but never past len(src), and it reads fewer
+// than streamLookahead bytes past the position it decides. So a caller
+// that feeds its input in pieces — StreamCompressor stops each piece
+// streamLookahead short of the buffered end and carries the returned
+// position and miss count into the next call — makes exactly the
+// decisions of one whole-buffer run. Positions before pos are assumed
+// inserted history.
+//
+// Two generation-two features ride on the same loop. With SkipTrigger
+// set, after R consecutive failed probes the loop advances
+// 1 + R>>SkipTrigger positions per literal run (capped at
+// maxSkipStride), neither probing nor inserting the stepped-over
+// positions; on incompressible input the dead chain walks turn into a
+// near-memcpy literal sweep, and one found match resets the stride to 1.
+// With Hash4 set, probes take the 4-byte-head path (findMatch4, with its
+// batched prefetch). With both off the stride is always 1 and the loop
+// is bit-for-bit the hardware's policy.
+func compressGreedy(m *Matcher, src []byte, cmds []token.Command, pos, stop, miss int) ([]token.Command, int, int) {
 	hashable := m.insertEnd(len(src)) // positions below this can be probed/inserted
 	trigger := m.p.SkipTrigger
 	hash4 := m.p.Hash4
-	pos := start
-	miss := 0 // consecutive failed probes since the last match
-	for pos < len(src) {
+	for pos < stop {
 		if pos >= hashable {
-			// Too little left to hash; flush as literals.
-			for ; pos < len(src); pos++ {
-				cmds = emitLit(cmds, m, src[pos])
-			}
-			break
+			// Too little left to hash: a literal.
+			cmds = emitLit(cmds, m, src[pos])
+			pos++
+			continue
 		}
 		var length, dist int
 		if hash4 {
@@ -177,33 +144,35 @@ func compressGreedyGen2(m *Matcher, src []byte, start int, cmds []token.Command)
 		if length > 0 {
 			miss = 0
 			cmds = emitCopy(cmds, m, dist, length)
+			// Full hash-table update only for short matches — the
+			// hardware decides this on match length (paper §IV); long
+			// matches skip insertion to keep the 1 cycle/byte update
+			// cost bounded.
 			end := pos + length
 			if length <= m.p.InsertLimit {
-				to := end
-				if to > hashable {
-					to = hashable
-				}
-				m.InsertRange(pos+1, to)
+				m.InsertRange(pos+1, min(end, hashable))
 			}
 			pos = end
 			continue
 		}
 		step := 1
 		if trigger != 0 {
-			if step = 1 + miss>>trigger; step > maxSkipStride {
-				step = maxSkipStride
-			}
+			step = min(1+miss>>trigger, maxSkipStride, len(src)-pos)
 			miss++
 		}
-		if step > len(src)-pos {
-			step = len(src) - pos
+		if step == 1 {
+			cmds = emitLit(cmds, m, src[pos])
+			pos++
+			continue
 		}
 		if cap(cmds)-len(cmds) < step {
-			// Needing to regrow inside a literal run means the input is
-			// running incompressible, where the usual one-command-per-three-
-			// bytes reservation ends up ~3x short and append's geometric
-			// growth memmoves the stream repeatedly. Reserve the worst case
-			// (one literal per remaining byte) in a single copy instead.
+			// An open stride means the input is running incompressible,
+			// where the usual one-command-per-three-bytes reservation
+			// ends up ~3x short and append's geometric growth memmoves
+			// the stream repeatedly. Reserve the worst case (one literal
+			// per remaining byte) in a single copy instead. A stride of
+			// one keeps append's growth, so compressible input never
+			// over-reserves.
 			grown := make([]token.Command, len(cmds), len(cmds)+(len(src)-pos)+16)
 			copy(grown, cmds)
 			cmds = grown
@@ -218,7 +187,7 @@ func compressGreedyGen2(m *Matcher, src []byte, start int, cmds []token.Command)
 		}
 		pos += step
 	}
-	return cmds
+	return cmds, pos, miss
 }
 
 // compressLazy is zlib's deflate_slow policy: hold each match back one

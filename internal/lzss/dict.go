@@ -28,18 +28,13 @@ func CompressWithDict(dict, data []byte, p Params) ([]token.Command, *Stats, err
 	buf := make([]byte, 0, len(dict)+len(data))
 	buf = append(buf, dict...)
 	buf = append(buf, data...)
-
-	stats := &Stats{InputBytes: int64(len(data))}
+	stats := &Stats{}
 	m, err := NewMatcher(buf, p, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Warm the chains with every dictionary position (zlib's
-	// deflateSetDictionary does exactly this).
-	m.InsertRange(0, m.insertEnd(len(dict)))
-	// Greedy matching over the data region only.
-	cmds := make([]token.Command, 0, len(data)/3+16)
-	cmds = compressGreedyFrom(m, buf, len(dict), cmds)
-	m.FlushObs()
+	// Warming the chains with every dictionary position is zlib's
+	// deflateSetDictionary; CompressTail does exactly that.
+	cmds := CompressTail(make([]token.Command, 0, len(data)/3+16), m, buf, len(dict))
 	return cmds, stats, nil
 }

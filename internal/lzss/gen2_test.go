@@ -337,12 +337,13 @@ func TestSkipReducesWorkOnRandom(t *testing.T) {
 // TestStreamGen2MatchesWholeBuffer extends the streaming identity
 // contract to the generation-two configuration: chunked writes must
 // reproduce the whole-buffer command stream decision for decision,
-// including the persistent skip stride across Write boundaries.
+// including the persistent skip stride across Write boundaries, and
+// charge the identical operation counters.
 func TestStreamGen2MatchesWholeBuffer(t *testing.T) {
 	p := SWFastParams()
 	inputs := gen2TestInputs(t)
 	for iname, input := range inputs {
-		want, _, err := Compress(input, p)
+		want, wantStats, err := Compress(input, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,10 +354,13 @@ func TestStreamGen2MatchesWholeBuffer(t *testing.T) {
 			if len(input) == 0 {
 				continue
 			}
-			got := streamAll(t, input, p, chunk)
+			got, stats := streamAll(t, input, p, chunk)
 			if !token.Equal(got, want) {
 				i := token.FirstDiff(got, want)
 				t.Fatalf("%s/chunk %d: diverges from whole-buffer at cmd %d", iname, chunk, i)
+			}
+			if stats != *wantStats {
+				t.Fatalf("%s/chunk %d: stats diverge from whole-buffer:\n got %+v\nwant %+v", iname, chunk, stats, *wantStats)
 			}
 		}
 	}

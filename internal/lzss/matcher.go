@@ -124,6 +124,26 @@ func (m *Matcher) Reset(src []byte) {
 	}
 }
 
+// slide drops the first shift positions of history — ZLib's
+// fill_window rotation, the software counterpart of the head-table
+// rotation the paper's hardware optimizes. The caller has already
+// removed those bytes from the front of its buffer; slide rebinds the
+// matcher to it and rebases the chains. shift is a whole multiple of
+// the window, so ring slots in prev (indexed by position mod window)
+// keep addressing the same strings. Entries pointing before the kept
+// region become -1 (chain end), exactly like the hardware zeroing
+// entries that point outside the dictionary.
+func (m *Matcher) slide(src []byte, shift int) {
+	m.src = src
+	d := int32(shift)
+	for i, v := range m.head {
+		m.head[i] = max(v-d, -1)
+	}
+	for i, v := range m.prev {
+		m.prev[i] = max(v-d, -1)
+	}
+}
+
 func (m *Matcher) hashAt(pos int) uint32 {
 	m.stats.HashComputes++
 	if m.p.Hash4 {

@@ -7,7 +7,7 @@ import (
 )
 
 // Observability: the matcher histograms locally (fixed arrays in
-// Matcher / StreamCompressor, plain increments on the hot path) and
+// Matcher, under every front end, plain increments on the hot path) and
 // publishes counter deltas plus bucket batches into the registry at
 // block/segment granularity via FlushObs — so an enabled registry adds
 // a handful of atomic adds per *segment*, not per byte. With no

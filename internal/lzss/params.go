@@ -97,9 +97,11 @@ type Params struct {
 	// bounds the per-direction rank-neighbour scan and Nice keeps its
 	// early-exit meaning; HashBits, InsertLimit and the hash-policy
 	// fields are ignored. This is the high-ratio tier behind levels
-	// 10-12 (SARatioParams); block-oriented, so incompatible with
-	// StreamCompressor, and incompatible with the generation-two greedy
-	// features (Hash4, SkipTrigger) and custom Hash policies.
+	// 10-12 (SARatioParams). It runs inside Matcher like the chains, but
+	// its index is block-oriented and does not slide, so
+	// StreamCompressor (the sliding buffer over Matcher) rejects it. It
+	// is also incompatible with the generation-two greedy features
+	// (Hash4, SkipTrigger) and custom Hash policies.
 	SA bool
 	// SkipTrigger, when non-zero, enables match-skip acceleration in the
 	// greedy loop: after a run of R consecutive failed probes the
@@ -168,8 +170,8 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// gen2 reports whether any generation-two hot-path feature is enabled,
-// selecting the skip-capable greedy loop.
+// gen2 reports whether any generation-two hot-path feature is enabled
+// (the tier label; the greedy loop serves both generations).
 func (p Params) gen2() bool { return p.Hash4 || p.SkipTrigger != 0 }
 
 // HasCustomHash reports whether the caller supplied its own Hash

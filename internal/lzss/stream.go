@@ -1,41 +1,31 @@
 package lzss
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"lzssfpga/internal/token"
 )
 
 // StreamCompressor is the incremental form of Compress: bytes go in via
-// Write, commands come out as soon as they are decided. It maintains a
-// sliding buffer of (window + lookahead) bytes and performs exactly the
-// table rotation ZLib's fill_window does — the software counterpart of
-// the head-table rotation the paper's hardware optimizes.
+// Write, commands come out as soon as they are decided. It is a sliding
+// buffer — one to three windows of history plus the undecided input —
+// driving the same Matcher and the same greedy loop as every other
+// front end; the matcher rotates its tables as the buffer slides
+// (Matcher.slide).
 //
-// The command stream is identical to a whole-buffer Compress over the
-// concatenated input: matching at a position is deferred until either
-// MaxMatch+MinMatch bytes of lookahead are available or Close declares
-// end of input, so no match decision is ever made on partial knowledge.
+// The command stream and the Stats are identical to a whole-buffer
+// Compress over the concatenated input: matching at a position is
+// deferred until either streamLookahead bytes beyond it are buffered or
+// Close declares end of input, so no match decision is ever made on
+// partial knowledge.
 type StreamCompressor struct {
-	p    Params
-	buf  []byte
-	base int64 // absolute stream position of buf[0]
-	pos  int   // next unprocessed index within buf
-	head []int32
-	prev []int32
-	// stats accumulates over the stream's lifetime.
-	stats  Stats
+	m   *Matcher
+	buf []byte
+	pos int // next undecided index within buf
+	// miss is the greedy loop's consecutive-failed-probe count, carried
+	// across Writes so chunking cannot change the skip-stride schedule.
+	miss   int
 	closed bool
-	// miss is the generation-two match-skip state: consecutive failed
-	// probes since the last match, persisted across Writes so chunking
-	// cannot change the stride schedule.
-	miss int
-	// Local observability state, mirroring Matcher: fixed histogram
-	// arrays plus the last-flushed snapshot (see FlushObs).
-	mlHist     [numMatchLenBuckets]int64
-	cdHist     [numChainDepthBuckets]int64
-	obsFlushed Stats
 }
 
 // streamLookahead is how many bytes beyond the current position must be
@@ -43,46 +33,32 @@ type StreamCompressor struct {
 // one hash window.
 const streamLookahead = token.MaxMatch + token.MinMatch + 1
 
+// streamPiece bounds how much of one Write is buffered before it is
+// matched, so however large the write, the buffer stays near three
+// windows plus one piece and positions stay far inside the chain
+// tables' int32 range.
+const streamPiece = 256 << 10
+
 // NewStreamCompressor validates p (greedy only — lazy deferral would
 // need one more byte of latency and is not what the hardware does).
 func NewStreamCompressor(p Params) (*StreamCompressor, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if p.SA {
 		return nil, fmt.Errorf("lzss: the suffix-array matcher is block-oriented; streaming requires a chain-matcher level")
 	}
-	head := make([]int32, 1<<p.HashBits)
-	for i := range head {
-		head[i] = -1
+	m, err := NewMatcher(nil, p, nil)
+	if err != nil {
+		return nil, err
 	}
-	return &StreamCompressor{
-		p:    p,
-		buf:  make([]byte, 0, 4*p.Window+streamLookahead),
-		head: head,
-		prev: make([]int32, p.Window),
-	}, nil
+	return &StreamCompressor{m: m, buf: make([]byte, 0, 4*p.Window+streamLookahead)}, nil
 }
 
 // Stats returns the accumulated operation counters.
-func (s *StreamCompressor) Stats() Stats { return s.stats }
+func (s *StreamCompressor) Stats() Stats { return *s.m.Stats() }
 
 // FlushObs publishes the counters and histograms accumulated since the
 // previous flush into the registry wired by SetObservability (no-op
 // without one). The streaming zlib writer calls it on Flush and Close.
-func (s *StreamCompressor) FlushObs() {
-	k := lzssObs.Load()
-	if k == nil {
-		return
-	}
-	d := statsDelta(s.stats, s.obsFlushed)
-	s.obsFlushed = s.stats
-	k.publish(&d)
-	k.matchLen.Merge(s.mlHist[:], d.MatchedBytes)
-	k.chainDepth.Merge(s.cdHist[:], d.ChainSteps)
-	s.mlHist = [numMatchLenBuckets]int64{}
-	s.cdHist = [numChainDepthBuckets]int64{}
-}
+func (s *StreamCompressor) FlushObs() { s.m.FlushObs() }
 
 // Write absorbs data and returns the commands that became decidable.
 // The returned slice is freshly allocated and owned by the caller.
@@ -90,9 +66,17 @@ func (s *StreamCompressor) Write(data []byte) []token.Command {
 	if s.closed {
 		panic("lzss: Write after Close")
 	}
-	s.buf = append(s.buf, data...)
-	s.stats.InputBytes += int64(len(data))
-	return s.drain(false)
+	s.m.stats.InputBytes += int64(len(data))
+	var cmds []token.Command
+	for {
+		n := min(len(data), streamPiece)
+		s.buf = append(s.buf, data[:n]...)
+		data = data[n:]
+		cmds = s.drain(cmds, len(s.buf)-streamLookahead)
+		if len(data) == 0 {
+			return cmds
+		}
+	}
 }
 
 // Close declares end of input and returns the final commands.
@@ -101,271 +85,7 @@ func (s *StreamCompressor) Close() []token.Command {
 		return nil
 	}
 	s.closed = true
-	return s.drain(true)
-}
-
-// slide drops processed bytes beyond one window of history and rebases
-// the hash tables — ZLib's rotation. The shift is a whole multiple of
-// the window so ring slots in prev[] keep addressing the same strings
-// (prev is indexed by position mod window). Entries pointing before the
-// kept region become invalid (-1 / chain end), exactly like the
-// hardware zeroing entries that point outside the dictionary.
-func (s *StreamCompressor) slide() {
-	keepFrom := (s.pos - s.p.Window) &^ (s.p.Window - 1)
-	if keepFrom <= 0 {
-		return
-	}
-	shift := int32(keepFrom)
-	s.buf = append(s.buf[:0], s.buf[keepFrom:]...)
-	s.base += int64(keepFrom)
-	s.pos -= keepFrom
-	for i, v := range s.head {
-		if v < shift {
-			s.head[i] = -1
-		} else {
-			s.head[i] = v - shift
-		}
-	}
-	for i, v := range s.prev {
-		if v < shift {
-			s.prev[i] = -1
-		} else {
-			s.prev[i] = v - shift
-		}
-	}
-}
-
-func (s *StreamCompressor) hashAt(pos int) uint32 {
-	s.stats.HashComputes++
-	if s.p.Hash4 {
-		return (binary.LittleEndian.Uint32(s.buf[pos:]) * hash4Mul) >> (32 - uint32(s.p.HashBits))
-	}
-	return s.p.Hash(s.buf[pos], s.buf[pos+1], s.buf[pos+2])
-}
-
-func (s *StreamCompressor) insert(pos int) {
-	s.insertHashed(pos, s.hashAt(pos))
-}
-
-func (s *StreamCompressor) insertHashed(pos int, h uint32) {
-	s.stats.Inserts++
-	s.prev[pos&(s.p.Window-1)] = s.head[h]
-	s.head[h] = int32(pos)
-}
-
-// findMatch mirrors Matcher.FindMatch over the sliding buffer.
-func (s *StreamCompressor) findMatch(pos int) (length, distance int) {
-	h := s.hashAt(pos)
-	cand := s.head[h]
-	s.stats.HeadReads++
-	s.insertHashed(pos, h)
-
-	maxLen := len(s.buf) - pos
-	if maxLen > token.MaxMatch {
-		maxLen = token.MaxMatch
-	}
-	minPos := pos - (s.p.Window - 1)
-	bestLen, bestDist := 0, 0
-	chainSteps := int64(0)
-	for chain := 0; chain < s.p.MaxChain && cand >= 0 && int(cand) >= minPos; chain++ {
-		s.stats.ChainSteps++
-		chainSteps++
-		c := int(cand)
-		n := 0
-		for n < maxLen && s.buf[c+n] == s.buf[pos+n] {
-			n++
-		}
-		examined := n
-		if n < maxLen {
-			examined++
-		}
-		s.stats.CompareBytes += int64(examined)
-		if n > bestLen {
-			bestLen, bestDist = n, pos-c
-			if bestLen >= s.p.Nice || bestLen == maxLen {
-				break
-			}
-		}
-		cand = s.prev[c&(s.p.Window-1)]
-	}
-	s.cdHist[chainDepthBucket(chainSteps)]++
-	if bestLen < token.MinMatch {
-		return 0, 0
-	}
-	return bestLen, bestDist
-}
-
-// findMatch4 mirrors Matcher.findMatch4 over the sliding buffer: the
-// 4-byte-head probe with the batched gather/compare stages and the same
-// counter charging, so stream output and stats stay identical to the
-// whole-buffer generation-two path.
-func (s *StreamCompressor) findMatch4(pos int) (length, distance int) {
-	t32 := binary.LittleEndian.Uint32(s.buf[pos:])
-	h := (t32 * hash4Mul) >> (32 - uint32(s.p.HashBits))
-	s.stats.HashComputes++
-	cand := s.head[h]
-	s.stats.HeadReads++
-	s.insertHashed(pos, h)
-
-	maxLen := len(s.buf) - pos
-	if maxLen > token.MaxMatch {
-		maxLen = token.MaxMatch
-	}
-	minPos := pos - (s.p.Window - 1)
-	bestLen, bestDist := 0, 0
-	chainSteps := int64(0)
-	budget := s.p.MaxChain
-	ring := int32(s.p.Window - 1)
-	var cpos [probeBatchSize]int32
-	var cval [probeBatchSize]uint32
-search:
-	for budget > 0 && cand >= 0 && int(cand) >= minPos {
-		n := 0
-		for n < probeBatchSize && budget > 0 && cand >= 0 && int(cand) >= minPos {
-			cpos[n] = cand
-			cval[n] = binary.LittleEndian.Uint32(s.buf[cand:])
-			cand = s.prev[cand&ring]
-			budget--
-			n++
-		}
-		s.stats.ProbeBatches++
-		for i := 0; i < n; i++ {
-			chainSteps++
-			s.stats.ChainSteps++
-			if cval[i] != t32 {
-				s.stats.CompareBytes += 4
-				continue
-			}
-			c := int(cpos[i])
-			l := matchLen(s.buf, c, pos, maxLen)
-			s.stats.CompareBytes += int64(l)
-			if l < maxLen {
-				s.stats.CompareBytes++ // the mismatching byte was also read
-			}
-			if l > bestLen {
-				bestLen, bestDist = l, pos-c
-				if bestLen >= s.p.Nice || bestLen == maxLen {
-					break search
-				}
-			}
-		}
-	}
-	s.cdHist[chainDepthBucket(chainSteps)]++
-	if bestLen < 4 {
-		return 0, 0
-	}
-	return bestLen, bestDist
-}
-
-// drain processes every position that is safely decidable.
-func (s *StreamCompressor) drain(final bool) []token.Command {
-	if s.p.gen2() {
-		return s.drainGen2(final)
-	}
-	var cmds []token.Command
-	for {
-		avail := len(s.buf) - s.pos
-		if avail == 0 {
-			break
-		}
-		if !final && avail < streamLookahead {
-			break
-		}
-		if avail < token.MinMatch {
-			// Only reachable when final: flush tail literals.
-			for ; s.pos < len(s.buf); s.pos++ {
-				cmds = append(cmds, token.Lit(s.buf[s.pos]))
-				s.stats.Literals++
-			}
-			break
-		}
-		length, dist := s.findMatch(s.pos)
-		if length >= token.MinMatch {
-			cmds = append(cmds, token.Copy(dist, length))
-			s.stats.Matches++
-			s.stats.MatchedBytes += int64(length)
-			s.mlHist[matchLenBucket(length)]++
-			end := s.pos + length
-			if length <= s.p.InsertLimit {
-				for i := s.pos + 1; i < end && i+token.MinMatch <= len(s.buf); i++ {
-					s.insert(i)
-				}
-			}
-			s.pos = end
-		} else {
-			cmds = append(cmds, token.Lit(s.buf[s.pos]))
-			s.stats.Literals++
-			s.pos++
-		}
-		if s.pos >= 3*s.p.Window {
-			s.slide()
-		}
-	}
-	return cmds
-}
-
-// drainGen2 is drain for generation-two configurations, mirroring
-// compressGreedyGen2 decision-for-decision: minHash-bounded probing, the
-// geometric match-skip stride (skipped positions are neither probed nor
-// inserted), and the batched 4-byte-head probe when Hash4 is set.
-func (s *StreamCompressor) drainGen2(final bool) []token.Command {
-	var cmds []token.Command
-	minHash := s.p.minHash()
-	trigger := s.p.SkipTrigger
-	for {
-		avail := len(s.buf) - s.pos
-		if avail == 0 {
-			break
-		}
-		if !final && avail < streamLookahead {
-			break
-		}
-		if avail < minHash {
-			// Only reachable when final: flush tail literals.
-			for ; s.pos < len(s.buf); s.pos++ {
-				cmds = append(cmds, token.Lit(s.buf[s.pos]))
-				s.stats.Literals++
-			}
-			break
-		}
-		var length, dist int
-		if s.p.Hash4 {
-			length, dist = s.findMatch4(s.pos)
-		} else {
-			length, dist = s.findMatch(s.pos)
-		}
-		if length > 0 {
-			s.miss = 0
-			cmds = append(cmds, token.Copy(dist, length))
-			s.stats.Matches++
-			s.stats.MatchedBytes += int64(length)
-			s.mlHist[matchLenBucket(length)]++
-			end := s.pos + length
-			if length <= s.p.InsertLimit {
-				for i := s.pos + 1; i < end && i+minHash <= len(s.buf); i++ {
-					s.insert(i)
-				}
-			}
-			s.pos = end
-		} else {
-			step := 1
-			if trigger != 0 {
-				if step = 1 + s.miss>>trigger; step > maxSkipStride {
-					step = maxSkipStride
-				}
-				s.miss++
-			}
-			for ; step > 0 && s.pos < len(s.buf); step-- {
-				cmds = append(cmds, token.Lit(s.buf[s.pos]))
-				s.stats.Literals++
-				s.pos++
-			}
-		}
-		if s.pos >= 3*s.p.Window {
-			s.slide()
-		}
-	}
-	return cmds
+	return s.drain(nil, len(s.buf))
 }
 
 // Flush processes every buffered byte immediately, without waiting for
@@ -377,5 +97,29 @@ func (s *StreamCompressor) Flush() []token.Command {
 	if s.closed {
 		return nil
 	}
-	return s.drain(true)
+	return s.drain(nil, len(s.buf))
+}
+
+// drain decides every position before stop, appending to cmds, then
+// slides the buffer once three windows have been processed, keeping
+// between one and two windows of history.
+func (s *StreamCompressor) drain(cmds []token.Command, stop int) []token.Command {
+	if stop <= s.pos {
+		return cmds
+	}
+	if cmds == nil {
+		cmds = make([]token.Command, 0, (stop-s.pos)/3+16)
+	}
+	// Rebind the matcher but keep its chains (Reset would clear them):
+	// an append may have moved the buffer, but positions keep their
+	// meaning.
+	s.m.src = s.buf
+	cmds, s.pos, s.miss = compressGreedy(s.m, s.buf, cmds, s.pos, stop, s.miss)
+	if w := s.m.p.Window; s.pos >= 3*w {
+		drop := (s.pos - w) &^ (w - 1)
+		s.buf = append(s.buf[:0], s.buf[drop:]...)
+		s.pos -= drop
+		s.m.slide(s.buf, drop)
+	}
+	return cmds
 }

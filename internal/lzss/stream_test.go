@@ -7,9 +7,12 @@ import (
 	"testing/quick"
 
 	"lzssfpga/internal/token"
+	"lzssfpga/internal/workload"
 )
 
-func streamAll(t *testing.T, data []byte, p Params, chunk int) []token.Command {
+// streamAll feeds data through a StreamCompressor in chunk-sized
+// writes and returns the commands and the compressor's final Stats.
+func streamAll(t *testing.T, data []byte, p Params, chunk int) ([]token.Command, Stats) {
 	t.Helper()
 	sc, err := NewStreamCompressor(p)
 	if err != nil {
@@ -23,7 +26,8 @@ func streamAll(t *testing.T, data []byte, p Params, chunk int) []token.Command {
 		}
 		cmds = append(cmds, sc.Write(data[i:end])...)
 	}
-	return append(cmds, sc.Close()...)
+	cmds = append(cmds, sc.Close()...)
+	return cmds, sc.Stats()
 }
 
 func TestStreamMatchesWholeBuffer(t *testing.T) {
@@ -35,15 +39,37 @@ func TestStreamMatchesWholeBuffer(t *testing.T) {
 	for i := range data {
 		data[i] = byte(rng.Intn(12)) // compressible
 	}
-	whole, _, err := Compress(data, p)
+	whole, wholeStats, err := Compress(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, chunk := range []int{1, 7, 100, 4096, 65536, len(data)} {
-		got := streamAll(t, data, p, chunk)
+		got, stats := streamAll(t, data, p, chunk)
 		if !token.Equal(got, whole) {
 			i := token.FirstDiff(got, whole)
 			t.Fatalf("chunk %d: diverges from whole-buffer at cmd %d", chunk, i)
+		}
+		if stats != *wholeStats {
+			t.Fatalf("chunk %d: stats diverge from whole-buffer:\n got %+v\nwant %+v", chunk, stats, *wholeStats)
+		}
+	}
+	// The paper's speed design point on the evaluation corpora, at the
+	// 64 KiB writes the streaming zlib writer sees in practice.
+	for name, data := range map[string][]byte{
+		"wiki":   workload.Wiki(300_000, 3),
+		"can":    workload.CAN(300_000, 3),
+		"random": workload.Random(300_000, 3),
+	} {
+		whole, wholeStats, err := Compress(data, HWSpeedParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats := streamAll(t, data, HWSpeedParams(), 64<<10)
+		if !token.Equal(got, whole) {
+			t.Fatalf("%s: diverges from whole-buffer at cmd %d", name, token.FirstDiff(got, whole))
+		}
+		if stats != *wholeStats {
+			t.Fatalf("%s: stats diverge from whole-buffer:\n got %+v\nwant %+v", name, stats, *wholeStats)
 		}
 	}
 }
@@ -78,10 +104,36 @@ func TestStreamSlidesWindow(t *testing.T) {
 	}
 }
 
+// TestStreamLargeWriteBounded: one Write many windows long is matched
+// in pieces, so the buffer stays bounded by the piece size rather than
+// the write, and the output still equals whole-buffer compression.
+func TestStreamLargeWriteBounded(t *testing.T) {
+	p := Params{Window: 1024, HashBits: 10, MaxChain: 8, Nice: 32, InsertLimit: 8}
+	data := workload.Wiki(3*streamPiece+12345, 4)
+	whole, wholeStats, err := Compress(data, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewStreamCompressor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := append(sc.Write(data), sc.Close()...)
+	if !token.Equal(cmds, whole) {
+		t.Fatalf("diverges from whole-buffer at cmd %d", token.FirstDiff(cmds, whole))
+	}
+	if stats := sc.Stats(); stats != *wholeStats {
+		t.Fatalf("stats diverge from whole-buffer:\n got %+v\nwant %+v", stats, *wholeStats)
+	}
+	if limit := 2 * (3*p.Window + streamLookahead + streamPiece); cap(sc.buf) > limit {
+		t.Fatalf("buffer capacity %d for a %d-byte write, want <= %d", cap(sc.buf), len(data), limit)
+	}
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	p := testParams()
 	data := []byte("stream me stream me stream me until the very end!")
-	cmds := streamAll(t, data, p, 5)
+	cmds, _ := streamAll(t, data, p, 5)
 	out, err := Decompress(cmds)
 	if err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("round trip failed: %v", err)
@@ -91,7 +143,7 @@ func TestStreamRoundTrip(t *testing.T) {
 func TestStreamEmptyAndTiny(t *testing.T) {
 	p := testParams()
 	for _, data := range [][]byte{{}, {1}, {1, 2}, {1, 2, 3}} {
-		cmds := streamAll(t, data, p, 1)
+		cmds, _ := streamAll(t, data, p, 1)
 		out, err := Decompress(cmds)
 		if err != nil || !bytes.Equal(out, data) {
 			t.Fatalf("tiny %v: round trip failed", data)

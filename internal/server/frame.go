@@ -233,7 +233,10 @@ func WriteMessage(w io.Writer, m *Message) error {
 // malformation — truncated header or frame, bad magic/version/CRC,
 // oversize or duplicate or missing frames, FCS mismatch — returns an
 // error wrapping ErrCorrupt and never panics. Cap rejections also
-// match ErrTooLarge.
+// match ErrTooLarge, and return the header parsed so far (op, status
+// and request ID, no payload) alongside the error, so a server can
+// stamp its rejection with the request ID a pipelined client matches
+// responses by.
 func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -260,9 +263,6 @@ func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
 	if want, got := etherlink.CRC32Update(0, hdr[0:12]), binary.BigEndian.Uint32(hdr[12:16]); want != got {
 		return nil, corruptf("header CRC mismatch: computed %08x, carried %08x", want, got)
 	}
-	if maxPayload >= 0 && uint64(total) > uint64(maxPayload) {
-		return nil, fmt.Errorf("%w: %w: %d-byte payload over the %d cap", ErrCorrupt, ErrTooLarge, total, maxPayload)
-	}
 	var reqID uint32
 	hasReqID := flags&flagReqID != 0
 	if hasReqID {
@@ -271,6 +271,10 @@ func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
 			return nil, fmt.Errorf("%w: truncated request ID: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}
 		reqID = binary.BigEndian.Uint32(rb[:])
+	}
+	if maxPayload >= 0 && uint64(total) > uint64(maxPayload) {
+		hdrOnly := &Message{Op: op, Status: hdr[6], ReqID: reqID, HasReqID: hasReqID}
+		return hdrOnly, fmt.Errorf("%w: %w: %d-byte payload over the %d cap", ErrCorrupt, ErrTooLarge, total, maxPayload)
 	}
 	var traceID string
 	if flags&flagTraceID != 0 {

@@ -294,3 +294,20 @@ func FuzzFrameParser(f *testing.F) {
 		}
 	})
 }
+
+// TestReadMessageCapRejectionKeepsReqID: a cap rejection returns the
+// header parsed so far, request ID included, so the serving loop can
+// stamp its rejection with the ID a pipelined client is waiting on.
+func TestReadMessageCapRejectionKeepsReqID(t *testing.T) {
+	wire, err := AppendMessage(nil, &Message{Op: OpCompress, Payload: make([]byte, 4096), ReqID: 77, HasReqID: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadMessage(bytes.NewReader(wire), 1024)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("want ErrTooLarge, got %v", err)
+	}
+	if m == nil || m.Op != OpCompress || !m.HasReqID || m.ReqID != 77 || m.Payload != nil {
+		t.Fatalf("cap rejection returned header %+v, want op %d with request ID 77 and no payload", m, OpCompress)
+	}
+}

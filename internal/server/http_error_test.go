@@ -305,6 +305,23 @@ func TestServerTCPProtocolErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("oversize pipelined request answers StatusTooLarge under its request ID", func(t *testing.T) {
+		// The rejection must carry the request ID: a multiplexed client
+		// matches responses by it, and an ID-less answer poisons the
+		// whole connection instead of failing the one request.
+		mx, err := client.DialMux(tcpAddr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mx.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, err = mx.Compress(ctx, bytes.Repeat([]byte{3}, 4096))
+		if !errors.Is(err, server.ErrTooLarge) {
+			t.Fatalf("got %v, want ErrTooLarge", err)
+		}
+	})
+
 	t.Run("bad decompress input answers StatusCorrupt and keeps the connection", func(t *testing.T) {
 		tc, err := client.DialTCP(tcpAddr, 0)
 		if err != nil {

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -40,10 +41,13 @@ func TestServerE2ESALevelRoundTrip(t *testing.T) {
 
 	assertLevel := func(id string) {
 		t.Helper()
-		rt := insp.Lookup(id)
-		if rt == nil {
-			t.Fatalf("trace %q not in the inspector", id)
-		}
+		// The response goes out before the server files the finished
+		// trace: wait for the record instead of racing it.
+		var rt *obs.RequestTrace
+		waitFor(t, fmt.Sprintf("trace %q in the inspector", id), func() bool {
+			rt = insp.Lookup(id)
+			return rt != nil
+		})
 		if rt.Level != "11" {
 			t.Fatalf("trace %q carries level %q, want %q", id, rt.Level, "11")
 		}

@@ -118,7 +118,7 @@ func (s *Server) serveConn(tc *tcpConn) {
 		msg, err := ReadMessage(br, s.cfg.MaxRequestBytes)
 		if err != nil {
 			s.countError()
-			s.writeResponse(tc, nil, nil, statusFor(err), []byte(err.Error())) //nolint:errcheck
+			s.writeResponse(tc, nil, msg, statusFor(err), []byte(err.Error())) //nolint:errcheck
 			return
 		}
 		connBytes += int64(len(msg.Payload))

@@ -117,10 +117,13 @@ func TestServerE2ETracing(t *testing.T) {
 			t.Fatalf("duplicate trace ID %q across requests", id)
 		}
 		seen[id] = true
-		rt := insp.Lookup(id)
-		if rt == nil {
-			t.Fatalf("trace ID %q (returned to a client) not found in the inspector", id)
-		}
+		// The response goes out before the server files the finished
+		// trace: wait for the record instead of racing it.
+		var rt *obs.RequestTrace
+		waitFor(t, fmt.Sprintf("trace ID %q (returned to a client) in the inspector", id), func() bool {
+			rt = insp.Lookup(id)
+			return rt != nil
+		})
 		if err := checkTrace(rt); err != nil {
 			t.Fatal(err)
 		}
