@@ -6,7 +6,8 @@
 # check, and the server e2e/drain/soak suite), the cache stampede soak
 # and the preset-dictionary round-trip gate, the cluster kill/drain
 # chaos gate, the metric names-drift
-# guard, coverage floors on the serving and matching layers, the
+# guard, coverage floors on the serving (lzssd and the cluster front)
+# and matching layers, the
 # suffix-array differential battery (cross-matcher round trips, the
 # cache-key aliasing regression, the SA cluster front), a bounded fuzz
 # pass over the hardened inflate entry points, the wire-frame parser
@@ -63,6 +64,8 @@ echo "== engine goroutine-leak check (race) =="
 go test -race -run TestEngineCloseLeavesNoWorkers -count=1 ./internal/engine
 
 echo "== server e2e + drain + soak (race) =="
+# The TestServerDrain tests are tables over both framed fronts: lzssd
+# and a cluster front over one lzssd backend.
 go test -race -run 'TestServerE2E|TestServerDrain|TestServerSoak' -count=1 ./internal/server
 
 echo "== cache stampede soak (race) =="
@@ -104,13 +107,18 @@ echo "== metric names-drift guard =="
 # metric the file does not declare (see TestMetricNamesDrift).
 go test -run TestMetricNamesDrift -count=1 .
 
-echo "== server coverage gate (>= 80%) =="
-cover=$(go test -cover -count=1 ./internal/server | awk '/coverage:/ { sub("%", "", $5); print $5 }')
-echo "internal/server statement coverage: ${cover}%"
-if [ -z "$cover" ] || ! awk "BEGIN { exit !($cover >= 80.0) }"; then
-	echo "internal/server coverage ${cover}% is below the 80% gate" >&2
-	exit 1
-fi
+echo "== serving coverage gates (>= 80%) =="
+# The framed-TCP serving loop and both handlers on it: lzssd's engine
+# handler (internal/server) and the cluster front's routing handler
+# (internal/cluster).
+for pkg in ./internal/server ./internal/cluster; do
+	cover=$(go test -cover -count=1 "$pkg" | awk '/coverage:/ { sub("%", "", $5); print $5 }')
+	echo "$pkg statement coverage: ${cover}%"
+	if [ -z "$cover" ] || ! awk "BEGIN { exit !($cover >= 80.0) }"; then
+		echo "$pkg coverage ${cover}% is below the 80% gate" >&2
+		exit 1
+	fi
+done
 
 echo "== matcher coverage gates (>= 80%) =="
 for pkg in ./internal/lzss ./internal/lzss/sa; do

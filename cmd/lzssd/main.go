@@ -40,9 +40,13 @@
 // /healthz probing (the optional /httpaddr half of each backend spec)
 // plus passive busy/draining observation, and automatic
 // retry-on-next-ring-alternate under a capped jittered backoff.
-// SIGINT/SIGTERM drains the front exactly like a backend: stop
-// accepting, finish routed in-flight requests within -drain, exit 0
-// "drained". The cluster_* metric family rides the same -metrics
+// The front runs the backends' framed serving loop, so it enforces
+// the same per-connection limits: -maxbody, -readtimeout and
+// -writetimeout, and the default pipelining (32 in flight) and
+// lifetime (1 GiB) budgets. -maxconn and -inflight apply only to
+// backends. SIGINT/SIGTERM drains the front exactly like a backend:
+// stop accepting, finish routed in-flight requests within -drain, exit
+// 0 "drained". The cluster_* metric family rides the same -metrics
 // endpoint (lzssmon -watch renders it as a header line).
 //
 // Observability: -metrics ADDR serves the registry (Prometheus text at
@@ -84,8 +88,8 @@ var (
 	workers  = flag.Int("workers", 0, "per-request in-flight segment cap (0 = engine width)")
 
 	maxBody  = flag.Int("maxbody", 64<<20, "per-request payload cap in bytes")
-	maxConn  = flag.Int64("maxconn", 1<<30, "per-TCP-connection lifetime payload cap in bytes")
-	inflight = flag.Int("inflight", 0, "max concurrently served requests (0 = 2×GOMAXPROCS)")
+	maxConn  = flag.Int64("maxconn", 1<<30, "per-TCP-connection lifetime payload cap in bytes (backends only: a -cluster front keeps the 1 GiB default)")
+	inflight = flag.Int("inflight", 0, "max concurrently served requests (0 = 2×GOMAXPROCS; backends only)")
 
 	readTimeout  = flag.Duration("readtimeout", 30*time.Second, "idle/receive deadline per request")
 	writeTimeout = flag.Duration("writetimeout", 60*time.Second, "response write deadline")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -353,6 +354,64 @@ func TestExhaustionClassifiedRetryable(t *testing.T) {
 	}
 	if statusOf(err) != server.StatusBusy {
 		t.Fatalf("exhaustion must surface as the retryable busy status, got %d", statusOf(err))
+	}
+}
+
+// TestFrontStatusMapping pins the routing tier's error-to-status
+// mapping: every serving sentinel maps as lzssd maps it, transport
+// exhaustion (a poisoned backend connection, a spent attempt budget)
+// reads as the retryable busy status, and a cap rejection keeps its
+// class even inside a poisoned connection — Mux poisons with the
+// ReadMessage error of an over-MaxResp response.
+func TestFrontStatusMapping(t *testing.T) {
+	wire, err := server.AppendMessage(nil, &server.Message{Op: server.OpResponse, Payload: make([]byte, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, capErr := server.ReadMessage(bytes.NewReader(wire), 16)
+	_, corruptErr := server.ReadMessage(bytes.NewReader(wire[:20]), 1<<20)
+	if !errors.Is(capErr, server.ErrTooLarge) || !errors.Is(corruptErr, server.ErrCorrupt) || errors.Is(corruptErr, server.ErrTooLarge) {
+		t.Fatalf("unexpected parser errors: cap %v, truncated %v", capErr, corruptErr)
+	}
+	// poisoned wraps cause the way Mux.poisonAll does.
+	poisoned := func(cause error) error {
+		return fmt.Errorf("%w: %w", client.ErrConnPoisoned, fmt.Errorf("reading response: %w", cause))
+	}
+	exhausted := func(last error) error {
+		return fmt.Errorf("cluster: 4 attempts exhausted: %w: %w", resilience.ErrBudgetExhausted, last)
+	}
+	type statusCase struct {
+		name string
+		err  error
+		want byte
+	}
+	cases := []statusCase{
+		{"too large", server.ErrTooLarge, server.StatusTooLarge},
+		{"cap rejection (wraps corrupt too)", capErr, server.StatusTooLarge},
+		{"corrupt", corruptErr, server.StatusCorrupt},
+		{"busy", server.ErrBusy, server.StatusBusy},
+		{"draining", server.ErrDraining, server.StatusDraining},
+		{"unknown dict", server.ErrUnknownDict, server.StatusUnknownDict},
+		{"unclassified", errors.New("backend exploded"), server.StatusInternal},
+		{"caller deadline", fmt.Errorf("cluster: %w (last backend error: %w)", context.DeadlineExceeded, io.EOF), server.StatusInternal},
+		{"poisoned conn", poisoned(io.ErrUnexpectedEOF), server.StatusBusy},
+		{"poisoned by a corrupt response", poisoned(corruptErr), server.StatusBusy},
+		{"poisoned by an oversize response", poisoned(capErr), server.StatusTooLarge},
+		{"budget exhausted", exhausted(server.ErrBusy), server.StatusBusy},
+		{"budget exhausted after draining", exhausted(server.ErrDraining), server.StatusBusy},
+		{"budget exhausted after a poisoned conn", exhausted(poisoned(corruptErr)), server.StatusBusy},
+	}
+	for _, st := range []byte{server.StatusCorrupt, server.StatusTooLarge, server.StatusBusy,
+		server.StatusDraining, server.StatusUnknownDict, server.StatusInternal} {
+		// A backend's in-band answer, as Mux returns it, goes back out
+		// of the front with the same status.
+		cases = append(cases, statusCase{fmt.Sprintf("backend status %d", st), server.StatusErr(st, []byte("detail")), st})
+	}
+	cases = append(cases, statusCase{"backend conn limit", server.StatusErr(server.StatusConnLimit, []byte("detail")), server.StatusTooLarge})
+	for _, tc := range cases {
+		if got := statusOf(tc.err); got != tc.want {
+			t.Errorf("%s: statusOf(%v) = %d, want %d", tc.name, tc.err, got, tc.want)
+		}
 	}
 }
 

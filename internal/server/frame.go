@@ -350,26 +350,28 @@ func ParseMessage(data []byte, maxPayload int) (*Message, error) {
 	return m, nil
 }
 
-// statusFor maps a request-side error onto the wire status byte.
-func statusFor(err error) byte {
+// StatusFor maps a request-side error onto the wire status byte. A cap
+// rejection wins over the corrupt class it also wraps, and the
+// retryable classes win over corrupt.
+func StatusFor(err error) byte {
 	switch {
 	case errors.Is(err, ErrTooLarge):
 		return StatusTooLarge
-	case errors.Is(err, ErrCorrupt):
-		return StatusCorrupt
 	case errors.Is(err, ErrBusy):
 		return StatusBusy
 	case errors.Is(err, ErrDraining):
 		return StatusDraining
 	case errors.Is(err, ErrUnknownDict):
 		return StatusUnknownDict
+	case errors.Is(err, ErrCorrupt):
+		return StatusCorrupt
 	default:
 		return StatusInternal
 	}
 }
 
 // StatusErr maps a response status byte back onto the package's typed
-// errors (the client side of statusFor). detail is the response
+// errors (the client side of StatusFor). detail is the response
 // payload, carried as error text; a leading copy of the sentinel's own
 // message is trimmed so the text doesn't stack a prefix per tier when
 // an error round-trips through a routing front.

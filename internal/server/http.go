@@ -119,7 +119,7 @@ func (s *Server) gate(w http.ResponseWriter, r *http.Request, rt *obs.RequestTra
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxRequestBytes)))
 	if err != nil {
 		s.release()
-		s.countError()
+		countError()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("%v: request over the %d-byte cap", ErrTooLarge, s.cfg.MaxRequestBytes),
@@ -167,7 +167,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	dictID := r.Header.Get(DictHeader)
 	dictBytes, derr := s.resolveDict(dictID)
 	if derr != nil {
-		s.countError()
+		countError()
 		rt.SetErr(derr)
 		http.Error(w, derr.Error(), http.StatusBadRequest)
 		s.finishRequest(rt, time.Since(svcStart), 0)
@@ -189,7 +189,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		// whole stored-or-computed artifact, written in one piece.
 		out, err := s.compressCached(ctx, body, dictID, dictBytes)
 		if err != nil {
-			s.countError()
+			countError()
 			svcErr = err
 			if ctx.Err() == nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -206,7 +206,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// Only cancellation errors here — the client is gone, there
 			// is no one to answer.
-			s.countError()
+			countError()
 			svcErr = err
 		} else {
 			wStart := time.Now()
@@ -220,7 +220,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		if svcErr != nil {
 			// Mid-stream failure: the status line is already out, so the
 			// only honest signal is an aborted response body.
-			s.countError()
+			countError()
 		}
 	}
 	if svcErr == nil {
@@ -244,7 +244,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	dictID := r.Header.Get(DictHeader)
 	dictBytes, derr := s.resolveDict(dictID)
 	if derr != nil {
-		s.countError()
+		countError()
 		rt.SetErr(derr)
 		http.Error(w, derr.Error(), http.StatusBadRequest)
 		s.finishRequest(rt, time.Since(svcStart), 0)
@@ -255,7 +255,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	// engine involvement on the decompress path).
 	rt.AddCompress(time.Since(svcStart))
 	if err != nil {
-		s.countError()
+		countError()
 		rt.SetErr(err)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		s.finishRequest(rt, time.Since(svcStart), 0)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"lzssfpga/internal/cache/dict"
 	"lzssfpga/internal/deflate"
 	"lzssfpga/internal/lzss"
+	"lzssfpga/internal/obs"
 )
 
 // Config sizes and hardens a Server. The zero value is usable: paper
@@ -111,26 +113,14 @@ func (c Config) withDefaults() Config {
 	if c.LevelName == "" {
 		c.LevelName = c.Params.Tier()
 	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 64 << 20
-	}
-	if c.MaxConnBytes <= 0 {
-		c.MaxConnBytes = 1 << 30
-	}
+	p := c.connPolicy().withDefaults()
+	c.MaxRequestBytes, c.MaxConnBytes, c.MaxPipelined = p.MaxRequestBytes, p.MaxConnBytes, p.MaxPipelined
+	c.ReadTimeout, c.WriteTimeout = p.ReadTimeout, p.WriteTimeout
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 2 * runtime.GOMAXPROCS(0)
 		if c.MaxInflight < 4 {
 			c.MaxInflight = 4
 		}
-	}
-	if c.MaxPipelined <= 0 {
-		c.MaxPipelined = 32
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 60 * time.Second
 	}
 	if c.Decode == (deflate.DecodeLimits{}) {
 		maxOut := 16 * c.MaxRequestBytes
@@ -145,9 +135,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// connPolicy is the framed-TCP front's share of the configuration.
+func (c Config) connPolicy() ConnPolicy {
+	return ConnPolicy{
+		MaxRequestBytes: c.MaxRequestBytes,
+		MaxConnBytes:    c.MaxConnBytes,
+		MaxPipelined:    c.MaxPipelined,
+		ReadTimeout:     c.ReadTimeout,
+		WriteTimeout:    c.WriteTimeout,
+	}
+}
+
 // Server is the long-running compression daemon: both fronts share one
-// engine-slot gate, one connection registry and one drain state
-// machine (serving → draining → drained).
+// engine-slot gate and one drain state machine (serving → draining →
+// drained); the framed-TCP front is a TCPFront running the engine
+// handler.
 type Server struct {
 	cfg Config
 
@@ -162,22 +164,14 @@ type Server struct {
 	fp    uint64
 
 	httpSrv *http.Server
-	httpLn  net.Listener
-	tcpLn   net.Listener
-
-	acceptWG sync.WaitGroup // TCP accept loop
-	connWG   sync.WaitGroup // TCP connection loops (incl. their in-flight work)
-
-	mu    sync.Mutex
-	conns map[*tcpConn]struct{}
+	tcp     *TCPFront
 
 	logMu sync.Mutex // serializes slow/error log lines onto cfg.Log
 
 	draining atomic.Bool
 	closed   atomic.Bool
 
-	activeConns atomic.Int64
-	inflight    atomic.Int64
+	inflight atomic.Int64
 }
 
 // New builds a Server. Neither listener is bound yet — call ListenHTTP
@@ -190,8 +184,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		slots: make(chan struct{}, cfg.MaxInflight),
-		conns: make(map[*tcpConn]struct{}),
 	}
+	s.tcp = NewTCPFront(s.serveTCP, cfg.connPolicy())
 	s.fp = configFingerprint(cfg)
 	if cfg.CacheBytes > 0 && !cfg.Params.HasCustomHash() {
 		s.cache = cache.New(cache.Config{MaxBytes: cfg.CacheBytes, Verify: cfg.CacheVerify})
@@ -206,7 +200,7 @@ func (s *Server) Config() Config { return s.cfg }
 func (s *Server) Inflight() int64 { return s.inflight.Load() }
 
 // ActiveConns is the number of open TCP protocol connections.
-func (s *Server) ActiveConns() int64 { return s.activeConns.Load() }
+func (s *Server) ActiveConns() int64 { return s.tcp.ActiveConns() }
 
 // Draining reports whether the drain state machine has left "serving".
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -246,7 +240,6 @@ func (s *Server) ListenHTTP(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.httpLn = ln
 	s.httpSrv = &http.Server{
 		Handler:           s.HTTPHandler(),
 		ReadTimeout:       s.cfg.ReadTimeout,
@@ -259,52 +252,7 @@ func (s *Server) ListenHTTP(addr string) (string, error) {
 
 // ListenTCP binds addr, serves the framed wire protocol on it and
 // returns the bound address.
-func (s *Server) ListenTCP(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.tcpLn = ln
-	s.acceptWG.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.acceptWG.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return // listener closed (drain or Close)
-		}
-		if s.draining.Load() {
-			c.Close()
-			continue
-		}
-		tc := &tcpConn{c: c}
-		s.mu.Lock()
-		s.conns[tc] = struct{}{}
-		s.mu.Unlock()
-		n := s.activeConns.Add(1)
-		if k := srvObs.Load(); k != nil {
-			k.conns.Inc()
-			k.activeConns.Set(float64(n))
-		}
-		s.connWG.Add(1)
-		go s.serveConn(tc)
-	}
-}
-
-func (s *Server) dropConn(tc *tcpConn) {
-	s.mu.Lock()
-	delete(s.conns, tc)
-	s.mu.Unlock()
-	n := s.activeConns.Add(-1)
-	if k := srvObs.Load(); k != nil {
-		k.activeConns.Set(float64(n))
-	}
-	tc.c.Close()
-}
+func (s *Server) ListenTCP(addr string) (string, error) { return s.tcp.ListenTCP(addr) }
 
 // Shutdown is the graceful drain: stop accepting on both fronts, let
 // every in-flight request finish, and force-close whatever remains
@@ -323,45 +271,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	start := time.Now()
 	s.draining.Store(true)
-	if s.tcpLn != nil {
-		s.tcpLn.Close()
-	}
-	// Wake connections parked between messages so they observe the
-	// drain; connections mid-receive or mid-service are left alone.
-	s.mu.Lock()
-	for tc := range s.conns {
-		tc.poke()
-	}
-	s.mu.Unlock()
-
 	var httpErr error
-	done := make(chan struct{})
+	httpDone := make(chan struct{})
 	go func() {
-		defer close(done)
-		if s.httpSrv != nil {
-			httpErr = s.httpSrv.Shutdown(ctx)
+		defer close(httpDone)
+		if s.httpSrv == nil {
+			return
 		}
-		s.connWG.Wait()
-		s.acceptWG.Wait()
+		if httpErr = s.httpSrv.Shutdown(ctx); httpErr != nil {
+			s.httpSrv.Close() // forced: sever what the deadline left
+		}
 	}()
-	var forcedErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		forcedErr = ctx.Err()
-		s.forceClose()
-		<-done
-	}
+	err := s.tcp.Shutdown(ctx)
+	<-httpDone
 	if k := srvObs.Load(); k != nil {
 		k.drainNs.Set(float64(time.Since(start).Nanoseconds()))
 	}
-	if forcedErr != nil {
-		return forcedErr
+	if err == nil && !errors.Is(httpErr, http.ErrServerClosed) {
+		err = httpErr
 	}
-	if httpErr != nil && !errors.Is(httpErr, http.ErrServerClosed) {
-		return httpErr
-	}
-	return nil
+	return err
 }
 
 // Close tears the server down immediately: no grace for in-flight
@@ -371,23 +300,101 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.draining.Store(true)
-	if s.tcpLn != nil {
-		s.tcpLn.Close()
-	}
-	s.forceClose()
-	s.connWG.Wait()
-	s.acceptWG.Wait()
-	return nil
-}
-
-// forceClose severs every remaining connection on both fronts.
-func (s *Server) forceClose() {
 	if s.httpSrv != nil {
 		s.httpSrv.Close()
 	}
-	s.mu.Lock()
-	for tc := range s.conns {
-		tc.c.Close()
+	return s.tcp.Close()
+}
+
+// serveTCP is the framed front's engine handler. Every response
+// carries the server-assigned trace ID; requests that acquired an
+// engine slot additionally appear in the /debug/requests inspector.
+// Failures that keep the connection usable (busy, unknown dictionary,
+// corrupt decompress input) are answered in-band.
+func (s *Server) serveTCP(r Reply, msg *Message) {
+	op := "compress"
+	if msg.Op == OpDecompress {
+		op = "decompress"
 	}
-	s.mu.Unlock()
+	rt := obs.NewRequestTrace("tcp", op)
+	rt.Level = s.cfg.LevelName
+	rt.InBytes = int64(len(msg.Payload))
+	// Resolve the dictionary negotiation before taking an engine slot:
+	// an unknown ID is a deterministic client error that should not
+	// consume capacity.
+	dictBytes, err := s.resolveDict(msg.DictID)
+	if err != nil {
+		countError()
+		rt.SetErr(err)
+		respond(r, rt, StatusUnknownDict, []byte(err.Error())) //nolint:errcheck
+		return
+	}
+	if !s.acquire() {
+		respond(r, rt, StatusBusy, []byte("server at capacity, retry")) //nolint:errcheck
+		return
+	}
+	defer s.release()
+	rt.SlotAcquired()
+	beginRequest(rt)
+	if k := srvObs.Load(); k != nil {
+		k.requestBytes.Observe(int64(len(msg.Payload)))
+	}
+	svcStart := time.Now()
+	var out []byte
+	if msg.Op == OpCompress {
+		out, err = s.compressCached(obs.ContextWithRequest(context.Background(), rt), msg.Payload, msg.DictID, dictBytes)
+	} else {
+		out, err = s.decompressDict(msg.Payload, dictBytes)
+		rt.AddCompress(time.Since(svcStart))
+	}
+	if err != nil {
+		// Compress failures map to StatusInternal, bad decompress input
+		// to StatusCorrupt; the connection stays usable either way.
+		countError()
+		rt.SetErr(err)
+		respond(r, rt, StatusFor(err), []byte(err.Error())) //nolint:errcheck
+		s.finishRequest(rt, time.Since(svcStart), 0)
+		return
+	}
+	rt.SetErr(respond(r, rt, StatusOK, out))
+	s.finishRequest(rt, time.Since(svcStart), int64(len(out)))
+}
+
+// respond answers r stamped with rt's trace ID and charges the write
+// to the trace's response_write stage.
+func respond(r Reply, rt *obs.RequestTrace, status byte, payload []byte) error {
+	start := time.Now()
+	err := r.Send(status, payload, rt.ID)
+	rt.AddWrite(time.Since(start))
+	return err
+}
+
+// compress runs one request's payload through the shared engine —
+// resilient when configured, the deterministic fast path otherwise.
+func (s *Server) compress(ctx context.Context, data []byte) ([]byte, error) {
+	if s.cfg.Resilient {
+		out, _, err := deflateResilient(ctx, data, s.cfg)
+		return out, err
+	}
+	var buf writerBuf
+	if _, err := deflateTo(ctx, &buf, data, s.cfg); err != nil {
+		return nil, err
+	}
+	return buf.b, nil
+}
+
+func (s *Server) decompress(z []byte) ([]byte, error) {
+	out, err := deflateDecode(z, s.cfg.Decode)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return out, nil
+}
+
+// writerBuf is the minimal io.Writer collecting a TCP response body.
+type writerBuf struct{ b []byte }
+
+func (w *writerBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }

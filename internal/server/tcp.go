@@ -8,9 +8,203 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"lzssfpga/internal/obs"
 )
+
+// ConnPolicy is the connection policy a TCPFront enforces on every
+// framed-TCP connection. Zero fields select the defaults.
+type ConnPolicy struct {
+	// MaxRequestBytes caps one request's payload; a larger request is
+	// answered StatusTooLarge and its connection closed (0 selects
+	// 64 MiB).
+	MaxRequestBytes int
+	// MaxConnBytes caps the cumulative request payload of one
+	// connection — a lifetime budget, after which the connection is
+	// closed with StatusConnLimit (0 selects 1 GiB).
+	MaxConnBytes int64
+	// MaxPipelined bounds how many pipelined requests (wire messages
+	// carrying the request-ID field) one connection may hold in flight;
+	// beyond it further pipelined requests on that connection bounce
+	// with StatusBusy (0 selects 32).
+	MaxPipelined int
+	// ReadTimeout bounds the idle wait for a request and, armed afresh,
+	// the receive of one full message; WriteTimeout bounds writing one
+	// full response (0 selects 30s / 60s).
+	ReadTimeout  time.Duration
+	WriteTimeout time.Duration
+}
+
+func (p ConnPolicy) withDefaults() ConnPolicy {
+	if p.MaxRequestBytes <= 0 {
+		p.MaxRequestBytes = 64 << 20
+	}
+	if p.MaxConnBytes <= 0 {
+		p.MaxConnBytes = 1 << 30
+	}
+	if p.MaxPipelined <= 0 {
+		p.MaxPipelined = 32
+	}
+	if p.ReadTimeout <= 0 {
+		p.ReadTimeout = 30 * time.Second
+	}
+	if p.WriteTimeout <= 0 {
+		p.WriteTimeout = 60 * time.Second
+	}
+	return p
+}
+
+// Handler serves one fully received compress or decompress request and
+// answers it through r. Pipelined requests are handled concurrently,
+// each on its own goroutine; a plain request is handled on the
+// connection's read loop, so plain responses keep request order.
+type Handler func(r Reply, req *Message)
+
+// Reply answers one request on the connection it arrived on.
+type Reply struct {
+	f   *TCPFront
+	tc  *tcpConn
+	req *Message
+}
+
+// Send writes the request's response, once per request: status and
+// payload, stamped with traceID (empty sends no trace field), the
+// request's ID when it was pipelined and, on StatusOK, its dictionary
+// ID. A failed write breaks the connection.
+func (r Reply) Send(status byte, payload []byte, traceID string) error {
+	return r.f.write(r.tc, r.req, status, payload, traceID)
+}
+
+// TCPFront is the framed-TCP serving loop. lzssd serves its engine on
+// it and the cluster front its routing tier; each supplies only a
+// Handler. The loop owns the listener, the connection registry, the
+// per-connection read loop with its drain poke, the ConnPolicy budgets
+// (pipelined overflow bounces in-band with StatusBusy), serialized
+// response writes stamped with the request ID, and the drain.
+type TCPFront struct {
+	h Handler
+	p ConnPolicy
+
+	ln       net.Listener
+	acceptWG sync.WaitGroup // the accept loop
+	connWG   sync.WaitGroup // connection loops (incl. their in-flight requests)
+
+	mu    sync.Mutex
+	conns map[*tcpConn]struct{}
+
+	draining    atomic.Bool
+	closed      atomic.Bool
+	activeConns atomic.Int64
+}
+
+// NewTCPFront builds a front that serves every request with h under
+// policy p. Nothing is bound until ListenTCP.
+func NewTCPFront(h Handler, p ConnPolicy) *TCPFront {
+	return &TCPFront{h: h, p: p.withDefaults(), conns: make(map[*tcpConn]struct{})}
+}
+
+// ActiveConns is the number of open connections.
+func (f *TCPFront) ActiveConns() int64 { return f.activeConns.Load() }
+
+// Draining reports whether Shutdown (or Close) has begun.
+func (f *TCPFront) Draining() bool { return f.draining.Load() }
+
+// ListenTCP binds addr (":0" picks a free port), serves the framed
+// wire protocol on it and returns the bound address.
+func (f *TCPFront) ListenTCP(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	f.ln = ln
+	f.acceptWG.Add(1)
+	go f.acceptLoop(ln)
+	return ln.Addr().String(), nil
+}
+
+func (f *TCPFront) acceptLoop(ln net.Listener) {
+	defer f.acceptWG.Done()
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return // listener closed (drain or Close)
+		}
+		if f.draining.Load() {
+			c.Close()
+			continue
+		}
+		tc := &tcpConn{c: c}
+		f.mu.Lock()
+		f.conns[tc] = struct{}{}
+		f.mu.Unlock()
+		n := f.activeConns.Add(1)
+		if k := srvObs.Load(); k != nil {
+			k.conns.Inc()
+			k.activeConns.Set(float64(n))
+		}
+		f.connWG.Add(1)
+		go f.serveConn(tc)
+	}
+}
+
+func (f *TCPFront) dropConn(tc *tcpConn) {
+	f.mu.Lock()
+	delete(f.conns, tc)
+	f.mu.Unlock()
+	n := f.activeConns.Add(-1)
+	if k := srvObs.Load(); k != nil {
+		k.activeConns.Set(float64(n))
+	}
+	tc.c.Close()
+}
+
+// Shutdown is the graceful drain: close the listener, wake the
+// connections parked between messages so they close, let every
+// connection finish the message it is receiving and every request in
+// flight, and force-close whatever remains when ctx expires. It returns
+// nil when the drain completed within the deadline, ctx.Err() when it
+// had to force.
+func (f *TCPFront) Shutdown(ctx context.Context) error {
+	if f.closed.Swap(true) {
+		return nil
+	}
+	f.draining.Store(true)
+	if f.ln != nil {
+		f.ln.Close()
+	}
+	f.mu.Lock()
+	for tc := range f.conns {
+		tc.poke()
+	}
+	f.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		// The accept loop first: once it has exited, no connection can
+		// join connWG behind the wait.
+		f.acceptWG.Wait()
+		f.connWG.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		f.mu.Lock()
+		for tc := range f.conns {
+			tc.c.Close()
+		}
+		f.mu.Unlock()
+		<-done
+		return ctx.Err()
+	}
+}
+
+// Close tears the front down immediately: no grace for in-flight
+// requests beyond what has already reached their sockets.
+func (f *TCPFront) Close() error {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Shutdown(ctx) //nolint:errcheck // ctx.Err() by construction
+	return nil
+}
 
 // tcpConn wraps one wire-protocol connection with the drain
 // coordination state: the drain only interrupts a connection that is
@@ -34,8 +228,7 @@ type tcpConn struct {
 	reqWG     sync.WaitGroup
 	pipelined atomic.Int64
 	// broken marks the connection poisoned server-side (a response
-	// write failed, or a pipelined request hit protocol misuse): the
-	// read loop stops accepting further requests.
+	// write failed): the read loop stops accepting further requests.
 	broken atomic.Bool
 
 	mu        sync.Mutex
@@ -82,228 +275,116 @@ func (tc *tcpConn) poke() {
 }
 
 // serveConn is the per-connection loop: park until a message's first
-// byte arrives, receive it whole, serve it, respond, repeat — until
-// the client closes, an error ends the conversation, the connection's
-// lifetime byte budget runs out, or the drain catches the connection
-// at an idle point.
+// byte arrives, receive it whole, hand it to the handler, repeat —
+// until the client closes, an error ends the conversation, the
+// connection's lifetime byte budget runs out, or the drain catches the
+// connection at an idle point.
 //
 // A request carrying the wire request-ID field is pipelined: it is
-// served on its own goroutine while the loop goes straight back to
+// handled on its own goroutine while the loop goes straight back to
 // reading, so one connection holds many requests in flight and
 // responses (stamped with the matching ID) go out in completion order.
 // Requests without the field keep the strict serve-then-read sequence,
 // so responses stay in request order for old clients.
-func (s *Server) serveConn(tc *tcpConn) {
-	defer s.connWG.Done()
-	defer s.dropConn(tc)
+func (f *TCPFront) serveConn(tc *tcpConn) {
+	defer f.connWG.Done()
+	defer f.dropConn(tc)
 	// Flush in-flight pipelined responses before the connection drops
 	// (defers run last-in first-out).
 	defer tc.reqWG.Wait()
 	br := bufio.NewReader(tc.c)
 	var connBytes int64
 	for {
-		if s.draining.Load() && br.Buffered() == 0 {
+		if f.draining.Load() && br.Buffered() == 0 || tc.broken.Load() {
 			return
 		}
-		if tc.broken.Load() {
-			return
-		}
-		tc.beginIdle(s.cfg.ReadTimeout)
+		tc.beginIdle(f.p.ReadTimeout)
 		if _, err := br.Peek(1); err != nil {
 			// Idle timeout, drain poke, or the client closed — all end
 			// the conversation without a request half-read.
 			return
 		}
-		tc.beginReceive(s.cfg.ReadTimeout)
-		msg, err := ReadMessage(br, s.cfg.MaxRequestBytes)
+		tc.beginReceive(f.p.ReadTimeout)
+		msg, err := ReadMessage(br, f.p.MaxRequestBytes)
 		if err != nil {
-			s.countError()
-			s.writeResponse(tc, nil, msg, statusFor(err), []byte(err.Error())) //nolint:errcheck
+			// msg is the partly parsed header on a cap rejection, so the
+			// answer carries the request ID; nil otherwise.
+			countError()
+			f.write(tc, msg, StatusFor(err), []byte(err.Error()), "") //nolint:errcheck
 			return
 		}
 		connBytes += int64(len(msg.Payload))
-		if connBytes > s.cfg.MaxConnBytes {
-			s.countError()
-			s.writeResponse(tc, nil, msg, StatusConnLimit, //nolint:errcheck
-				[]byte(fmt.Sprintf("connection exceeded its %d-byte budget", s.cfg.MaxConnBytes)))
+		if connBytes > f.p.MaxConnBytes {
+			countError()
+			f.write(tc, msg, StatusConnLimit, //nolint:errcheck
+				[]byte(fmt.Sprintf("connection exceeded its %d-byte budget", f.p.MaxConnBytes)), "")
 			return
 		}
-		if msg.HasReqID {
-			if tc.pipelined.Load() >= int64(s.cfg.MaxPipelined) {
-				// Per-connection pipelining cap: bounce like the global
-				// backpressure gate does — an immediate retryable busy,
-				// not an invisible queue of goroutines.
-				if k := srvObs.Load(); k != nil {
-					k.busyRejects.Inc()
-				}
-				// A failed bounce write leaves the outbound stream desynced
-				// mid-message: stop reading, like any failed response write.
-				if err := s.writeResponse(tc, nil, msg, StatusBusy,
-					[]byte(fmt.Sprintf("connection exceeded its %d-request pipeline budget", s.cfg.MaxPipelined))); err != nil {
-					return
-				}
-				continue
+		r := Reply{f: f, tc: tc, req: msg}
+		if msg.HasReqID && tc.pipelined.Load() >= int64(f.p.MaxPipelined) {
+			// Per-connection pipelining cap: bounce like the global
+			// backpressure gate does — an immediate retryable busy, not
+			// an invisible queue of goroutines.
+			if k := srvObs.Load(); k != nil {
+				k.busyRejects.Inc()
 			}
-			tc.pipelined.Add(1)
-			tc.reqWG.Add(1)
-			go func(m *Message) {
-				defer tc.reqWG.Done()
-				defer tc.pipelined.Add(-1)
-				if err := s.serveMessage(tc, m); err != nil {
-					// The connection is unusable (failed response write
-					// or protocol misuse): stop the read loop and wake it
-					// if it is parked.
-					tc.broken.Store(true)
-					tc.poke()
-				}
-			}(msg)
+			r.Send(StatusBusy, //nolint:errcheck // a failed write breaks the connection
+				[]byte(fmt.Sprintf("connection exceeded its %d-request pipeline budget", f.p.MaxPipelined)), "")
 			continue
 		}
-		if err := s.serveMessage(tc, msg); err != nil {
+		if msg.Op != OpCompress && msg.Op != OpDecompress {
+			countError()
+			r.Send(StatusCorrupt, []byte("unexpected op: this endpoint serves requests"), "") //nolint:errcheck
 			return
 		}
+		if !msg.HasReqID {
+			f.h(r, msg)
+			continue
+		}
+		tc.pipelined.Add(1)
+		tc.reqWG.Add(1)
+		go func() {
+			defer tc.reqWG.Done()
+			defer tc.pipelined.Add(-1)
+			f.h(r, msg)
+		}()
 	}
 }
 
-// serveMessage handles one fully received request and writes its
-// response. A non-nil return closes the connection (protocol misuse or
-// a failed response write); protocol-level failures that keep the
-// connection usable (busy, corrupt decompress input) are reported to
-// the client in-band and return nil. Every response to a well-formed
-// request carries the server-assigned trace ID; requests that acquired
-// an engine slot additionally appear in the /debug/requests inspector.
-func (s *Server) serveMessage(tc *tcpConn, msg *Message) error {
-	if msg.Op != OpCompress && msg.Op != OpDecompress {
-		s.countError()
-		s.writeResponse(tc, nil, msg, StatusCorrupt, []byte("unexpected op: this endpoint serves requests")) //nolint:errcheck
-		return fmt.Errorf("unexpected op %d", msg.Op)
-	}
-	op := "compress"
-	if msg.Op == OpDecompress {
-		op = "decompress"
-	}
-	rt := obs.NewRequestTrace("tcp", op)
-	rt.Level = s.cfg.LevelName
-	rt.InBytes = int64(len(msg.Payload))
-	// Resolve the dictionary negotiation before taking an engine slot:
-	// an unknown ID is a deterministic client error that should not
-	// consume capacity.
-	dictBytes, derr := s.resolveDict(msg.DictID)
-	if derr != nil {
-		s.countError()
-		rt.SetErr(derr)
-		return s.writeResponse(tc, rt, msg, StatusUnknownDict, []byte(derr.Error()))
-	}
-	if !s.acquire() {
-		return s.writeResponse(tc, rt, msg, StatusBusy, []byte("server at capacity, retry"))
-	}
-	defer s.release()
-	rt.SlotAcquired()
-	beginRequest(rt)
-	if k := srvObs.Load(); k != nil {
-		k.requestBytes.Observe(int64(len(msg.Payload)))
-	}
-	ctx := obs.ContextWithRequest(context.Background(), rt)
-	svcStart := time.Now()
-	var out []byte
-	var err error
-	switch msg.Op {
-	case OpCompress:
-		out, err = s.compressCached(ctx, msg.Payload, msg.DictID, dictBytes)
-		if err != nil {
-			s.countError()
-			rt.SetErr(err)
-			werr := s.writeResponse(tc, rt, msg, StatusInternal, []byte(err.Error()))
-			s.finishRequest(rt, time.Since(svcStart), 0)
-			return werr
-		}
-	case OpDecompress:
-		decStart := time.Now()
-		out, err = s.decompressDict(msg.Payload, dictBytes)
-		rt.AddCompress(time.Since(decStart))
-		if err != nil {
-			// The client's stream was bad; the connection is fine.
-			s.countError()
-			rt.SetErr(err)
-			werr := s.writeResponse(tc, rt, msg, statusFor(err), []byte(err.Error()))
-			s.finishRequest(rt, time.Since(svcStart), 0)
-			return werr
-		}
-	}
-	werr := s.writeResponse(tc, rt, msg, StatusOK, out)
-	rt.SetErr(werr)
-	s.finishRequest(rt, time.Since(svcStart), int64(len(out)))
-	return werr
-}
-
-// writeResponse sends one response message under the write deadline,
-// stamped with rt's trace ID (rt may be nil for protocol-level errors
-// that never had a request to trace) and with req's request ID when
-// the request was pipelined (req may be nil when the header never
-// parsed). The per-connection write lock keeps concurrently completing
-// pipelined responses from interleaving on the socket.
-func (s *Server) writeResponse(tc *tcpConn, rt *obs.RequestTrace, req *Message, status byte, payload []byte) error {
+// write sends one response message under the write deadline, stamped
+// with traceID, with req's request ID when the request was pipelined
+// (req is nil when the header never parsed) and, on success, with the
+// negotiated dictionary ID — mirroring the HTTP front's X-Lzss-Dict
+// response header. The per-connection write lock keeps concurrently
+// completing pipelined responses from interleaving on the socket. A
+// failed write leaves the outbound stream desynced mid-message, so it
+// breaks the connection: the read loop is woken and takes no further
+// request.
+func (f *TCPFront) write(tc *tcpConn, req *Message, status byte, payload []byte, traceID string) error {
 	if k := srvObs.Load(); k != nil {
 		k.responseBytes.Observe(int64(len(payload)))
 	}
-	resp := &Message{Op: OpResponse, Status: status, Payload: payload}
-	if rt != nil {
-		resp.TraceID = rt.ID
+	resp := &Message{Op: OpResponse, Status: status, Payload: payload, TraceID: traceID}
+	if req != nil {
+		resp.ReqID, resp.HasReqID = req.ReqID, req.HasReqID
+		if status == StatusOK {
+			resp.DictID = req.DictID
+		}
 	}
-	if req != nil && req.HasReqID {
-		resp.ReqID = req.ReqID
-		resp.HasReqID = true
-	}
-	// Echo the negotiated dictionary ID on success, mirroring the HTTP
-	// front's X-Lzss-Dict response header.
-	if req != nil && req.DictID != "" && status == StatusOK {
-		resp.DictID = req.DictID
-	}
-	start := time.Now()
 	tc.wmu.Lock()
-	tc.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
+	tc.c.SetWriteDeadline(time.Now().Add(f.p.WriteTimeout)) //nolint:errcheck
 	err := WriteMessage(tc.c, resp)
 	tc.wmu.Unlock()
-	rt.AddWrite(time.Since(start))
 	if err != nil {
-		s.countError()
-		return err
+		countError()
+		tc.broken.Store(true)
+		tc.poke()
 	}
-	return nil
+	return err
 }
 
-func (s *Server) countError() {
+func countError() {
 	if k := srvObs.Load(); k != nil {
 		k.errors.Inc()
 	}
-}
-
-// compress runs one request's payload through the shared engine —
-// resilient when configured, the deterministic fast path otherwise.
-func (s *Server) compress(ctx context.Context, data []byte) ([]byte, error) {
-	if s.cfg.Resilient {
-		out, _, err := deflateResilient(ctx, data, s.cfg)
-		return out, err
-	}
-	var buf writerBuf
-	if _, err := deflateTo(ctx, &buf, data, s.cfg); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}
-
-func (s *Server) decompress(z []byte) ([]byte, error) {
-	out, err := deflateDecode(z, s.cfg.Decode)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return out, nil
-}
-
-// writerBuf is the minimal io.Writer collecting a TCP response body.
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
