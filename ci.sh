@@ -16,10 +16,37 @@
 # benchmark point — including the GOMAXPROCS scaling sweep and the
 # level-dial ratio table with its SA-beats-level-9 gate — gated
 # against the committed previous-PR baseline (the BENCH_*.json
-# trajectory format; see README "Performance & profiling").
+# trajectory format; see README "Performance & profiling"). Every
+# named-test gate first proves that each |-alternative of its -run
+# pattern still names a test (require_tests).
 set -eu
 
 cd "$(dirname "$0")"
+
+# require_tests PATTERN [FLAG|PKG]...: fail unless every |-alternative
+# of a gate's -run PATTERN lists at least one test under `go test -list`
+# in the given packages. `go test -run` passes silently with "no tests
+# to run", so a renamed or deleted test would otherwise turn its gate
+# into a no-op.
+require_tests() {
+	pattern=$1
+	shift
+	for alt in $(printf '%s\n' "$pattern" | tr '|' ' '); do
+		if ! go test -list "$alt" "$@" | grep -Eq '^(Test|Example|Benchmark|Fuzz)'; then
+			echo "gate pattern '$pattern': '$alt' lists no test in $*" >&2
+			exit 1
+		fi
+	done
+}
+
+# race_gate PATTERN [FLAG|PKG]...: the named tests under the race
+# detector, uncached, after require_tests.
+race_gate() {
+	pattern=$1
+	shift
+	require_tests "$pattern" -race "$@"
+	go test -race -run "$pattern" -count=1 "$@"
+}
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -46,47 +73,54 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== observability race stress =="
-go test -race -run StressConcurrentScrape -count=1 ./internal/obs
+race_gate StressConcurrentScrape ./internal/obs
 
 echo "== fault matrix (race) =="
-go test -race -run FaultMatrix -count=1 ./internal/testbench
+race_gate FaultMatrix ./internal/testbench
 
-echo "== engine soak + stall reorder (race) =="
-go test -race -run 'TestEngineSoak|TestReorderUnderWorkerStalls' -count=1 ./internal/deflate
+echo "== engine soak + stall reorder + parallel option matrix (race) =="
+# The option matrix crosses {plain, carry, preset dictionary} x
+# {returned, sink} x {fast, resilient} through the one parallel driver,
+# plus a resilient dictionary run under panics and sink-path
+# cancellation.
+race_gate 'TestEngineSoak|TestReorderUnderWorkerStalls|TestParallelOptionMatrix|TestParallelDictResilientRecoversPanics|TestParallelSinkContextCancel' ./internal/deflate
 
 echo "== engine soak at GOMAXPROCS=4 (race) =="
 # The shard-affine arena and the reorder path only exercise cross-core
 # hand-offs when more than one P is scheduling workers; pin 4 so a
 # 1-core CI box still runs the concurrent interleavings.
+require_tests 'TestEngineSoak|TestArena' -race ./internal/deflate ./internal/engine
 GOMAXPROCS=4 go test -race -run 'TestEngineSoak|TestArena' -count=1 ./internal/deflate ./internal/engine
 
 echo "== engine goroutine-leak check (race) =="
-go test -race -run TestEngineCloseLeavesNoWorkers -count=1 ./internal/engine
+race_gate TestEngineCloseLeavesNoWorkers ./internal/engine
 
 echo "== server e2e + drain + soak (race) =="
 # The TestServerDrain tests are tables over both framed fronts: lzssd
 # and a cluster front over one lzssd backend.
-go test -race -run 'TestServerE2E|TestServerDrain|TestServerSoak' -count=1 ./internal/server
+race_gate 'TestServerE2E|TestServerDrain|TestServerSoak' ./internal/server
 
 echo "== cache stampede soak (race) =="
 # 64 concurrent clients request the same hot block through real sockets;
 # the engine must compress it exactly once — every other request hits
 # the stored entry or coalesces onto the in-flight computation. The
 # front-side variant drives the same shape through the routing tier.
-go test -race -run 'TestServerCacheStampedeE2E|TestCacheStampede|TestFrontCacheStampede' -count=1 ./internal/cache ./internal/server ./internal/cluster
+race_gate 'TestServerCacheStampedeE2E|TestCacheStampede|TestFrontCacheStampede' ./internal/cache ./internal/server ./internal/cluster
 
 echo "== dict round-trip gate (race) =="
 # Preset-dictionary serving: byte-exact round trips over HTTP and
 # framed TCP, including through a cluster front, and the unknown-dict
-# in-band rejection on both fronts.
-go test -race -run 'TestServerDictRoundTripBothFronts|TestServerUnknownDict|TestFrontDictRoundTripAndCache' -count=1 ./internal/server ./internal/cluster
+# in-band rejection on both fronts. Dictionary requests run the
+# configured resilient path: they survive panicking workers and a
+# disconnecting HTTP client stops their compute and frees the slot.
+race_gate 'TestServerDictRoundTripBothFronts|TestServerUnknownDict|TestServerDictResilient|TestServerClientDisconnectReleasesSlot|TestFrontDictRoundTripAndCache' ./internal/server ./internal/cluster
 
 echo "== cluster chaos gate (race) =="
 # Kill one backend outright and rolling-drain another while a 4-member
 # fleet serves pipelined load: zero failed round trips, byte-exact
 # responses, retries observed, breaker open/close transitions in the
 # scrape (see TestClusterChaos).
-go test -race -run TestClusterChaos -count=1 -timeout 180s ./internal/cluster
+race_gate TestClusterChaos -timeout 180s ./internal/cluster
 
 echo "== suffix-array differential battery (race) =="
 # The high-ratio tier's proof obligations: command streams verified by
@@ -96,15 +130,16 @@ echo "== suffix-array differential battery (race) =="
 # level-9/level-10 cache-key aliasing regression, and byte-exact
 # round trips through a 3-backend SA cluster front. (The server e2e SA
 # round trip rides the TestServerE2E gate above.)
-go test -race -run 'TestSACrossMatcher|TestSAMatchesNoShorterThanGreedy|TestSAConfigSurface|TestSAGreedyTail' -count=1 ./internal/lzss
-go test -race -run 'TestSARatioMonotonic|TestSAParallelPipeline' -count=1 ./internal/deflate
-go test -race -run 'TestConfigFingerprintLevelAliasing|TestCacheNeverAliasesAcrossLevels' -count=1 ./internal/server
-go test -race -run 'TestFrontSALevelRoundTrip' -count=1 ./internal/cluster
+race_gate 'TestSACrossMatcher|TestSAMatchesNoShorterThanGreedy|TestSAConfigSurface|TestSAGreedyTail' ./internal/lzss
+race_gate 'TestSARatioMonotonic|TestSAParallelPipeline' ./internal/deflate
+race_gate 'TestConfigFingerprintLevelAliasing|TestCacheNeverAliasesAcrossLevels' ./internal/server
+race_gate 'TestFrontSALevelRoundTrip' ./internal/cluster
 
 echo "== metric names-drift guard =="
 # Every canonical name in internal/obs/names.go must be registered by a
 # fully-enabled registry, and the serving-path families must expose no
 # metric the file does not declare (see TestMetricNamesDrift).
+require_tests TestMetricNamesDrift .
 go test -run TestMetricNamesDrift -count=1 .
 
 echo "== serving coverage gates (>= 80%) =="

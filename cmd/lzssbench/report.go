@@ -277,7 +277,7 @@ func writeJSONReport(path string, bytes int, seed int64, sweep bool, reg *lzssfp
 	}{
 		{"serial", data, func() ([]byte, error) { return lzssfpga.Compress(data, p) }},
 		{"parallel", data, func() ([]byte, error) { return lzssfpga.CompressParallel(data, p, 0, 0) }},
-		{"parallel_dict", data, func() ([]byte, error) { return lzssfpga.CompressParallelDict(data, p, 0, 0) }},
+		{"parallel_dict", data, func() ([]byte, error) { return compressCarry(data, p) }},
 		// Generation-two hot path on the same wiki corpus.
 		{"serial_fast", data, func() ([]byte, error) { return lzssfpga.Compress(data, fast) }},
 		// Incompressible workload: serial_rand is the match-skip design
@@ -349,6 +349,13 @@ func writeJSONReport(path string, bytes int, seed int64, sweep bool, reg *lzssfp
 	return &rep, nil
 }
 
+// compressCarry is the parallel_dict rows' call: default segments and
+// workers with dictionary carry-over across the cuts.
+func compressCarry(data []byte, p lzssfpga.Params) ([]byte, error) {
+	z, _, err := lzssfpga.CompressParallelOpts(context.Background(), data, p, lzssfpga.ParallelOpts{Carry: true})
+	return z, err
+}
+
 // sweepParallel measures the parallel paths at GOMAXPROCS 1/2/4/8,
 // rebuilding the shared engine at each width (shard count is fixed at
 // engine construction) and restoring the original setting afterwards.
@@ -372,7 +379,7 @@ func sweepParallel(data []byte, p lzssfpga.Params, iters int) ([]benchEntry, err
 			fn   func() ([]byte, error)
 		}{
 			{"parallel", func() ([]byte, error) { return lzssfpga.CompressParallel(data, p, 0, 0) }},
-			{"parallel_dict", func() ([]byte, error) { return lzssfpga.CompressParallelDict(data, p, 0, 0) }},
+			{"parallel_dict", func() ([]byte, error) { return compressCarry(data, p) }},
 		} {
 			e, err := benchOne(b.name, data, iters, b.fn)
 			if err != nil {

@@ -200,6 +200,10 @@ func doCompress(in string, data []byte) error {
 	if *pdict && *parallel <= 0 {
 		return fmt.Errorf("-pdict requires -p N (dictionary carry-over is a parallel-segmentation mode)")
 	}
+	resilient := *faultsArg != "" || *timeoutArg > 0
+	if resilient && (*parallel <= 0 || *gz) {
+		return fmt.Errorf("-faults/-timeout drive the resilient parallel pipeline: they require -c -p N (and the zlib container)")
+	}
 	// Time only the compression phase: the input was already read and
 	// the output is written after the clock stops, so the reported MB/s
 	// is comparable with lzssbench (which never touches the filesystem)
@@ -207,19 +211,10 @@ func doCompress(in string, data []byte) error {
 	compressStart := time.Now()
 	var z []byte
 	switch {
-	case *faultsArg != "" || *timeoutArg > 0:
-		if *parallel <= 0 || *gz {
-			return fmt.Errorf("-faults/-timeout drive the resilient parallel pipeline: they require -c -p N (and the zlib container)")
-		}
-		z, err = compressResilient(data, p)
 	case *gz:
 		z, err = lzssfpga.GzipCompress(data, p, filepath.Base(in))
-	case *parallel > 0 && tracer != nil:
-		z, err = lzssfpga.CompressParallelTraced(data, p, 0, *parallel, *pdict, tracer)
-	case *parallel > 0 && *pdict:
-		z, err = lzssfpga.CompressParallelDict(data, p, 0, *parallel)
 	case *parallel > 0:
-		z, err = lzssfpga.CompressParallel(data, p, 0, *parallel)
+		z, err = compressParallel(data, p, resilient)
 	case *best:
 		z, err = lzssfpga.CompressBest(data, p)
 	default:
@@ -264,17 +259,18 @@ func doCompress(in string, data []byte) error {
 	return nil
 }
 
-// compressResilient runs the panic-safe parallel pipeline, optionally
-// under injected faults and an overall deadline, and reports what the
-// recovery machinery absorbed.
-func compressResilient(data []byte, p lzssfpga.Params) ([]byte, error) {
+// compressParallel runs the parallel pipeline (-p, -pdict, -trace).
+// resilient selects the panic-safe path, optionally under injected
+// faults and an overall deadline, and reports what the recovery
+// machinery absorbed.
+func compressParallel(data []byte, p lzssfpga.Params, resilient bool) ([]byte, error) {
 	ctx := context.Background()
 	if *timeoutArg > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeoutArg)
 		defer cancel()
 	}
-	opts := lzssfpga.ParallelOpts{Workers: *parallel, Carry: *pdict, Tracer: tracer}
+	opts := lzssfpga.ParallelOpts{Workers: *parallel, Carry: *pdict, Tracer: tracer, Resilient: resilient}
 	var inj *lzssfpga.FaultInjector
 	if *faultsArg != "" {
 		spec, err := lzssfpga.ParseFaultSpec(*faultsArg)
@@ -285,9 +281,9 @@ func compressResilient(data []byte, p lzssfpga.Params) ([]byte, error) {
 		opts.SegmentHook = inj.SegmentHook
 		opts.SegmentTimeout = spec.StallTimeout()
 	}
-	z, rep, err := lzssfpga.CompressParallelResilient(ctx, data, p, opts)
-	if err != nil {
-		return nil, err
+	z, rep, err := lzssfpga.CompressParallelOpts(ctx, data, p, opts)
+	if err != nil || !resilient {
+		return z, err
 	}
 	fmt.Fprintf(os.Stderr, "lzsszip: resilience: %d segments, %d retries, %d panics recovered, %d degraded to stored\n",
 		rep.Segments, rep.Retries, rep.PanicsRecovered, rep.Degraded)

@@ -2,10 +2,12 @@ package lzssfpga
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
+	"lzssfpga/internal/cache/dict"
 	"lzssfpga/internal/workload"
 )
 
@@ -34,8 +36,11 @@ func goldenStream(data []byte, p Params) ([]byte, error) {
 // and say so in the commit — or an accidental regression. The streaming
 // and parallel rows run the same matcher as Compress through their own
 // front ends (sliding buffer; 64 KiB segments, with and without
-// dictionary carry-over), so a change to how a front end drives the
-// matcher shows up here even when the one-shot rows stay put.
+// dictionary carry-over, against the corpus's built-in preset
+// dictionary), so a change to how a front end drives the matcher shows
+// up here even when the one-shot rows stay put. The resilient and sink
+// rows pin the hardened and streaming parallel paths to the parallel
+// rows' bytes.
 func TestGoldenOutputs(t *testing.T) {
 	type golden struct {
 		name string
@@ -64,6 +69,23 @@ func TestGoldenOutputs(t *testing.T) {
 		{"can", workload.CAN, 200000, "pdict", hw, 107405, "316777c8b41fff3a"},
 		{"wiki", workload.Wiki, 200000, "pdict", fast, 85262, "f95355a699edaf6e"},
 		{"can", workload.CAN, 200000, "pdict", fast, 108657, "944c30832c2e66cb"},
+		{"wiki", workload.Wiki, 200000, "preset", hw, 88204, "da3834acc5900f10"},
+		{"can", workload.CAN, 200000, "preset", hw, 107401, "c35a6c34deecf1d4"},
+		{"wiki", workload.Wiki, 200000, "preset", fast, 85156, "825b4060f5980bae"},
+		{"can", workload.CAN, 200000, "preset", fast, 108656, "9c225f632ae9d16e"},
+		{"wiki", workload.Wiki, 200000, "resilient", hw, 88735, "b68128a45586b4e3"},
+		{"can", workload.CAN, 200000, "resilient", hw, 107784, "ff0ff6bc25fff702"},
+		{"wiki", workload.Wiki, 200000, "resilient", fast, 85617, "b165a8c3c482539f"},
+		{"can", workload.CAN, 200000, "resilient", fast, 108999, "3358d60dc182047d"},
+		{"wiki", workload.Wiki, 200000, "sink", hw, 88735, "b68128a45586b4e3"},
+		{"can", workload.CAN, 200000, "sink", hw, 107784, "ff0ff6bc25fff702"},
+		{"wiki", workload.Wiki, 200000, "sink", fast, 85617, "b165a8c3c482539f"},
+		{"can", workload.CAN, 200000, "sink", fast, 108999, "3358d60dc182047d"},
+	}
+	parallel := func(data []byte, p Params, o ParallelOpts) ([]byte, error) {
+		o.Segment, o.Workers = 64<<10, 2
+		z, _, err := CompressParallelOpts(context.Background(), data, p, o)
+		return z, err
 	}
 	for _, c := range cases {
 		data := c.gen(c.n, 1)
@@ -79,7 +101,18 @@ func TestGoldenOutputs(t *testing.T) {
 		case "parallel":
 			z, err = CompressParallel(data, c.p, 64<<10, 2)
 		case "pdict":
-			z, err = CompressParallelDict(data, c.p, 64<<10, 2)
+			z, err = parallel(data, c.p, ParallelOpts{Carry: true})
+		case "preset":
+			var d []byte
+			if d, err = dict.Builtin(c.name); err == nil {
+				z, err = parallel(data, c.p, ParallelOpts{Dict: d})
+			}
+		case "resilient":
+			z, err = parallel(data, c.p, ParallelOpts{Resilient: true})
+		case "sink":
+			var buf bytes.Buffer
+			_, err = parallel(data, c.p, ParallelOpts{Sink: &buf})
+			z = buf.Bytes()
 		default:
 			t.Fatalf("unknown mode %q", c.mode)
 		}

@@ -56,10 +56,10 @@ func TestZlibCompressDictAllLevels(t *testing.T) {
 	}
 }
 
-// ParallelCompressDict (carry-over mode, no FDICT container) under the
-// gen-two hot path: multi-segment cuts whose matchers are preset with
-// the previous segment's window must still produce a stream any
-// inflater decodes byte-exact.
+// ParallelCompress with Carry (carry-over mode, no FDICT container)
+// under the gen-two hot path: multi-segment cuts whose matchers are
+// preset with the previous segment's window must still produce a stream
+// any inflater decodes byte-exact.
 func TestParallelCompressDictGenTwo(t *testing.T) {
 	defer ResetDefaultEngine()
 	corpora := map[string][]byte{
@@ -70,7 +70,7 @@ func TestParallelCompressDictGenTwo(t *testing.T) {
 		for cname, data := range corpora {
 			for _, segment := range []int{8 << 10, 64 << 10} {
 				t.Run(fmt.Sprintf("%s/%s/seg%dk", name, cname, segment>>10), func(t *testing.T) {
-					z, err := ParallelCompressDict(data, p, segment, 4)
+					z, err := compressPar(data, p, ParallelOpts{Segment: segment, Workers: 4, Carry: true})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -87,7 +87,7 @@ func TestParallelCompressDictGenTwo(t *testing.T) {
 	}
 }
 
-// ParallelCompressPreset: the parallel FDICT path must round-trip
+// ParallelCompress with Dict: the parallel FDICT path must round-trip
 // byte-exact against ZlibDecompressDict and the stdlib across every
 // level and multi-segment cut, with segment 0's matches reaching into
 // the preset window.
@@ -98,7 +98,7 @@ func TestParallelCompressPresetRoundTrip(t *testing.T) {
 	for name, p := range dictParamSets(32768) {
 		for _, segment := range []int{16 << 10, 256 << 10} {
 			t.Run(fmt.Sprintf("%s/seg%dk", name, segment>>10), func(t *testing.T) {
-				z, err := ParallelCompressPreset(data, dict, p, segment, 4)
+				z, err := compressPar(data, p, ParallelOpts{Segment: segment, Workers: 4, Dict: dict})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +135,7 @@ func TestParallelCompressPresetLongDict(t *testing.T) {
 	p := withWindow(lzss.SWFastParams(), 4096)
 	dict := workload.JSONish(16<<10, 5) // 4x the window
 	data := workload.JSONish(64<<10, 6)
-	z, err := ParallelCompressPreset(data, dict, p, 8<<10, 4)
+	z, err := compressPar(data, p, ParallelOpts{Segment: 8 << 10, Workers: 4, Dict: dict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,11 @@ func TestParallelPresetImprovesRatio(t *testing.T) {
 	p := withWindow(lzss.SWFastParams(), 32768)
 	dict := workload.JSONish(16<<10, 40)
 	data := workload.JSONish(4<<10, 40) // same seed: same schema and value pools
-	plain, err := ParallelCompressDict(data, p, 0, 0)
+	plain, err := compressPar(data, p, ParallelOpts{Carry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preset, err := ParallelCompressPreset(data, dict, p, 0, 0)
+	preset, err := compressPar(data, p, ParallelOpts{Dict: dict})
 	if err != nil {
 		t.Fatal(err)
 	}

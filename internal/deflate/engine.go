@@ -14,18 +14,15 @@ import (
 )
 
 // This file is the deflate side of the persistent compression engine:
-// the shared default engine.Engine every ParallelCompress* call runs
-// on, the pooled per-segment job type, and the streaming request driver
-// that replaced the old spawn-goroutines-per-call pipeline. Setup that
-// the old path paid per invocation — goroutine creation, channel
-// allocation, barrier-style [][]byte assembly — is paid once per
+// the shared default engine.Engine every ParallelCompress call runs
+// on, and the pooled per-segment job type with its fast and resilient
+// bodies. Goroutine creation and channel allocation are paid once per
 // process here, and the request path recycles everything else (jobs,
 // reorder state, segment bodies) through pools and the engine arena.
 
-// SegmentAdaptive, passed as the segment argument of any
-// ParallelCompress* entry point, lets the engine's online sizer choose
-// the cut: segment size then tracks observed per-segment service time
-// (see engine.Sizer). Adaptive cuts trade the fixed-segment determinism
+// SegmentAdaptive, passed as ParallelOpts.Segment, lets the engine's
+// online sizer choose the cut: segment size then tracks observed
+// per-segment service time (see engine.Sizer). Adaptive cuts trade the fixed-segment determinism
 // guarantee — two runs over the same data may segment differently —
 // for steadier worker utilization; the default and any explicit
 // segment size remain byte-deterministic.
@@ -62,7 +59,7 @@ func defaultEngine() *engine.Engine {
 // ResetDefaultEngine closes the shared engine (draining queued jobs)
 // and lets the next parallel call rebuild it sized to the then-current
 // GOMAXPROCS. It exists for benchmarks that sweep GOMAXPROCS and for
-// leak-checking tests; it must not race in-flight ParallelCompress*
+// leak-checking tests; it must not race in-flight ParallelCompress
 // calls.
 func ResetDefaultEngine() {
 	engMu.Lock()
@@ -110,34 +107,33 @@ const (
 	adlerLen      = 4
 )
 
-// pjob is one segment job. The fast path and the resilient path share
-// the type (opts == nil selects fast); jobs live in a pooled slice per
-// request and hold no memory of their own.
+// parallelRun is the state one ParallelCompress call shares with its
+// segment jobs: the (dictionary-prefixed) input, the resolved options,
+// the request trace carried in on the driver's context (nil when the
+// caller isn't tracing) and the resilient path's fault ledger.
+type parallelRun struct {
+	ctx                       context.Context
+	data                      []byte
+	p                         lzss.Params
+	o                         ParallelOpts
+	rt                        *obs.RequestTrace
+	adaptive                  bool
+	retries, panics, degraded atomic.Int64
+}
+
+// pjob is one segment job; jobs live in a pooled slice per request and
+// hold no memory of their own.
 type pjob struct {
 	req    *engine.Request
-	data   []byte
-	p      lzss.Params
+	run    *parallelRun
 	idx    int
 	lo, hi int
 	dictLo int
 	final  bool
-	tr     *obs.Tracer
-	// rt is the request-scoped trace carried in on the driver's context
-	// (nil when the caller isn't tracing); Run credits this segment's
-	// queue wait and execution time into it.
-	rt *obs.RequestTrace
 	// submitAt is stamped just before Submit when a registry is enabled
 	// or the request is traced; Run turns it into the
 	// deflate_queue_wait_us histogram and the trace's queue_wait stage.
 	submitAt time.Time
-	adaptive bool
-
-	// Resilient mode (opts != nil): the attempt context, retry budget
-	// and the run's shared fault ledger.
-	ctx                        context.Context
-	opts                       *ParallelOpts
-	maxRetries                 int
-	retries, panics, degradeds *atomic.Int64
 }
 
 var jobSlicePool = sync.Pool{New: func() any { return new([]pjob) }}
@@ -164,20 +160,21 @@ func putJobs(js *[]pjob) {
 // touch of the request and the job: the submitter may recycle both the
 // moment it receives the completion.
 func (j *pjob) Run(wid int) {
+	r := j.run
 	k := deflateObs.Load()
 	start := time.Now()
 	if !j.submitAt.IsZero() {
 		if k != nil {
 			k.queueWaitUs.Observe(start.Sub(j.submitAt).Microseconds())
 		}
-		j.rt.AddQueueWait(start.Sub(j.submitAt))
+		r.rt.AddQueueWait(start.Sub(j.submitAt))
 	}
 	var body *engine.Buf
 	var err error
-	if j.opts == nil {
-		body, err = j.runFast(wid)
+	if r.o.Resilient {
+		body, err = j.runResilient(wid)
 	} else {
-		body = j.runResilient(wid)
+		body, err = j.runFast(wid)
 	}
 	if k != nil {
 		k.segments.Inc()
@@ -190,53 +187,53 @@ func (j *pjob) Run(wid int) {
 	// The compress stage of the request trace is the segment's whole
 	// residence on the worker — including resilient retries and injected
 	// stalls, which is exactly what a latency investigation needs to see.
-	j.rt.AddCompress(time.Since(start))
-	if j.adaptive && err == nil {
+	r.rt.AddCompress(time.Since(start))
+	if r.adaptive && err == nil {
 		adaptiveSizer.Observe(j.hi-j.lo, time.Since(start))
 	}
 	j.req.Complete(j.idx, body, err)
 }
 
+// runFast compresses the segment once, with no recovery around it; a
+// cancelled run skips the work.
 func (j *pjob) runFast(wid int) (*engine.Buf, error) {
-	sw, err := getSegWorker(j.p)
+	r := j.run
+	if err := r.ctx.Err(); err != nil {
+		return nil, err
+	}
+	sw, err := getSegWorker(r.p)
 	if err != nil {
 		return nil, err
 	}
 	defer putSegWorker(sw)
-	sw.tr = j.tr
-	sw.tid = wid + 1
-	sw.seg = j.idx
-	sw.shard = wid
-	return sw.compressSegment(j.data[j.dictLo:j.hi], j.lo-j.dictLo, j.final, segHint(j.hi-j.lo))
+	sw.tr, sw.tid, sw.seg, sw.shard = r.o.Tracer, wid+1, j.idx, wid
+	return sw.compressSegment(r.data[j.dictLo:j.hi], j.lo-j.dictLo, j.final, segHint(j.hi-j.lo))
 }
 
-// runResilient mirrors the old resilient worker body: guarded attempt
-// loop, then degradation to stored blocks when the budget is gone. It
-// returns nil only when the run's context is already cancelled — the
-// driver is about to fail the whole call anyway.
-func (j *pjob) runResilient(wid int) *engine.Buf {
+// runResilient is the hardened body: guarded attempt loop, then
+// degradation to stored blocks when the budget is gone. It fails only
+// when the run's context is cancelled.
+func (j *pjob) runResilient(wid int) (*engine.Buf, error) {
+	r := j.run
 	var body *engine.Buf
-	if sw, swErr := getSegWorker(j.p); swErr == nil {
-		sw.tr = j.opts.Tracer
-		sw.tid = wid + 1
-		sw.shard = wid
-		body = compressSegmentResilient(j.ctx, sw, j.data[j.dictLo:j.hi], j.lo-j.dictLo, j.idx, j.final,
-			j.maxRetries, *j.opts, j.retries, j.panics)
+	if sw, swErr := getSegWorker(r.p); swErr == nil {
+		sw.tr, sw.tid, sw.shard = r.o.Tracer, wid+1, wid
+		body = r.compressSegmentResilient(sw, r.data[j.dictLo:j.hi], j.lo-j.dictLo, j.idx, j.final)
 		putSegWorker(sw)
 	}
 	if body == nil {
-		if j.ctx.Err() != nil {
-			return nil
+		if err := r.ctx.Err(); err != nil {
+			return nil, err
 		}
 		// Retry budget gone (or no worker at all): stored blocks cannot
 		// fail.
-		body = storedSegment(j.data[j.lo:j.hi], j.final)
-		j.degradeds.Add(1)
+		body = storedSegment(r.data[j.lo:j.hi], j.final)
+		r.degraded.Add(1)
 		if k := deflateObs.Load(); k != nil {
 			k.segmentsDegraded.Inc()
 		}
 	}
-	return body
+	return body, nil
 }
 
 // segHint predicts a segment's compressed size for the arena.
@@ -244,7 +241,7 @@ func segHint(segLen int) int {
 	return int(float64(segLen)/estimatedRatio()*1.25) + 64
 }
 
-// segPlan is the shared segmentation arithmetic of both drivers.
+// segPlan is the driver's segmentation arithmetic.
 type segPlan struct {
 	segment, nSeg int
 	adaptive      bool

@@ -90,135 +90,119 @@ func putSegWorker(w *segWorker) {
 	segWorkerPool.Put(w)
 }
 
+// ParallelOpts configures ParallelCompress. The zero value is usable:
+// default segment size and worker count, independent segments, a plain
+// zlib stream returned in one buffer, the fast path.
+type ParallelOpts struct {
+	// Segment is the cut size in bytes (0 selects 256 KiB, a good
+	// ratio/parallelism balance; SegmentAdaptive lets the engine's sizer
+	// choose, trading determinism for utilization). Workers caps the
+	// call's in-flight segments on the shared engine; 0 means GOMAXPROCS
+	// on the fast path and the engine's full width when Resilient.
+	Segment int
+	Workers int
+	// Carry enables dictionary carry-over (pigz's default mode): each
+	// segment's matcher is preset with the trailing window of its
+	// predecessor, so matches reach back across the cut and the ratio
+	// loss of segmenting all but disappears. The output is still one
+	// standard zlib stream, because an inflater's history window spans
+	// block boundaries.
+	Carry bool
+	// Dict, when non-nil, is a preset dictionary: the output is an RFC
+	// 1950 FDICT stream (DICTID = the dictionary's Adler-32), the
+	// dictionary's trailing Window-1 bytes are laid down as history in
+	// front of the data — the layout lzss.CompressWithDict uses — and
+	// Carry is implied, so segment 0's matches reach into the preset
+	// window and later segments reach their predecessors. Any zlib
+	// implementation holding the same dictionary decodes the result.
+	Dict []byte
+	// Sink, when non-nil, receives the stream in index order as segments
+	// complete, so the first compressed bytes reach the consumer while
+	// later segments are still compressing; the returned slice is then
+	// nil. On any error the bytes written so far are an incomplete
+	// stream the consumer must discard.
+	Sink io.Writer
+	// Tracer observes the pipeline stages: one "split" span for
+	// segmentation planning, per-segment "match" and "encode" spans on
+	// the owning worker's trace row, and one "assemble" span for stream
+	// assembly. May be nil.
+	Tracer *obs.Tracer
+	// Resilient hardens the run for a hostile runtime: every segment
+	// attempt runs under recover() (a panicking worker is scrubbed and
+	// the segment retried), each attempt can carry a deadline, each
+	// compressed segment body is self-checked by independent
+	// re-inflation, and a segment that exhausts its retry budget
+	// degrades to raw stored blocks — worse ratio, guaranteed correct —
+	// rather than failing the stream. Carried segments reference history
+	// outside themselves, so their self-check is skipped; end-to-end
+	// verification still covers them. The fields below configure it.
+	Resilient bool
+	// MaxSegmentRetries is how many times a failed segment attempt is
+	// retried before the segment degrades to stored blocks (0 selects 2).
+	MaxSegmentRetries int
+	// SegmentTimeout bounds each attempt; an attempt that outlives it is
+	// treated as a stalled worker and retried (0 = no per-attempt bound).
+	SegmentTimeout time.Duration
+	// SegmentHook runs at the start of every attempt with the attempt's
+	// context, the segment index and the attempt number. It is the fault
+	// seam: internal/faultinject provides hooks that panic or stall. A
+	// panic in the hook (or anywhere in the attempt) is recovered and
+	// counted; a returned error fails the attempt.
+	SegmentHook func(ctx context.Context, seg, attempt int) error
+}
+
 // ParallelCompress compresses data into a standard zlib stream on the
 // shared persistent engine, pigz-style: the input is cut into segments,
 // each segment is LZSS-matched and Huffman-coded as its own Deflate
-// block(s) with a fresh dictionary, and the blocks stream out in order
-// as they complete. The output is deterministic — identical for any
-// worker count — and decodable by any inflater; the price of the
-// parallelism is that matches cannot cross segment boundaries.
+// block(s), and the blocks stream out in order as they complete. The
+// output is deterministic — identical for any worker count, on the fast
+// and the resilient path alike — and decodable by any inflater; without
+// Carry or Dict the price of the parallelism is that matches cannot
+// cross segment boundaries.
 //
-// segment is the cut size (0 selects 256 KiB, a good ratio/parallelism
-// balance; SegmentAdaptive lets the engine's sizer choose, trading
-// determinism for utilization). workers caps this call's in-flight
-// segments; 0 means the engine's full width (one worker per shard,
-// sized to GOMAXPROCS at engine start).
-func ParallelCompress(data []byte, p lzss.Params, segment, workers int) ([]byte, error) {
-	return parallelCompress(data, p, segment, workers, false, nil)
-}
-
-// ParallelCompressDict is ParallelCompress with dictionary carry-over
-// (pigz's default mode): each segment's matcher is preset with the
-// trailing window of its predecessor, so matches reach back across the
-// cut. The ratio loss of segmenting all but disappears; the output is
-// still one standard zlib stream any inflater decodes, because an
-// inflater's history window spans block boundaries. Within a segment
-// matching is greedy (the dictionary path is policy-shared with
-// CompressWithDict).
-func ParallelCompressDict(data []byte, p lzss.Params, segment, workers int) ([]byte, error) {
-	return parallelCompress(data, p, segment, workers, true, nil)
-}
-
-// ParallelCompressTraced is ParallelCompress(Dict) with a span tracer
-// observing the pipeline stages: one "split" span for segmentation
-// planning, per-segment "match" and "encode" spans on the owning
-// worker's trace row, and one "assemble" span for stream assembly. tr
-// may be nil (no tracing).
-func ParallelCompressTraced(data []byte, p lzss.Params, segment, workers int, carry bool, tr *obs.Tracer) ([]byte, error) {
-	return parallelCompress(data, p, segment, workers, carry, tr)
-}
-
-// parallelCompress runs a request on the shared persistent engine and
-// collects the stream into one preallocated buffer (sized from the
-// running ratio estimate). The steady-state request path allocates only
-// the returned output buffer (jobs, reorder state and segment bodies
-// all recycle through pools and the engine arena).
-func parallelCompress(data []byte, p lzss.Params, segment, workers int, carry bool, tr *obs.Tracer) ([]byte, error) {
-	out := make([]byte, 0, estimateOut(len(data)))
-	err := parallelCompressCore(context.Background(), data, 0, false, 0, p, segment, workers, carry, tr,
-		func(b []byte) error {
-			out = append(out, b...)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ParallelCompressPreset compresses data against a preset dictionary
-// into an RFC 1950 FDICT stream (header flag set, DICTID = the
-// dictionary's Adler-32) on the shared persistent engine. The
-// dictionary's trailing Window-1 bytes are laid down as history in
-// front of the data — exactly the layout lzss.CompressWithDict uses —
-// and every segment runs with dictionary carry-over, so segment 0's
-// matches reach into the preset window and later segments reach their
-// predecessors. Any zlib implementation holding the same dictionary
-// (e.g. ZlibDecompressDict) decodes the result.
-func ParallelCompressPreset(data, dict []byte, p lzss.Params, segment, workers int) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	capped := dict
-	if reach := p.Window - 1; len(capped) > reach {
-		capped = capped[len(capped)-reach:]
-	}
-	// One contiguous buffer: [dictionary tail | data]. The copy is the
-	// price of adjacency (CompressTail needs the history physically in
-	// front of the segment); it is linear and dwarfed by matching.
-	buf := make([]byte, 0, len(capped)+len(data))
-	buf = append(buf, capped...)
-	buf = append(buf, data...)
-	out := make([]byte, 0, estimateOut(len(data))+10)
-	err := parallelCompressCore(context.Background(), buf, len(capped), true, AdlerChecksum(dict),
-		p, segment, workers, true,
-		nil, func(b []byte) error {
-			out = append(out, b...)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ParallelCompressTo is ParallelCompress with a streaming sink: segment
-// bodies are written to w in index order as they complete, so the first
-// compressed bytes reach the consumer (a network client, a pipe) while
-// later segments are still compressing. ctx cancellation stops feeding
-// the engine — segments already queued complete into the reorder buffer
-// and are discarded — and the call returns ctx.Err(). The return value
-// is the byte count written to w; on any error the stream written so
-// far is incomplete and must be discarded by the consumer.
-func ParallelCompressTo(ctx context.Context, w io.Writer, data []byte, p lzss.Params, segment, workers int) (int64, error) {
-	var n int64
-	err := parallelCompressCore(ctx, data, 0, false, 0, p, segment, workers, false, nil,
-		func(b []byte) error {
-			k, werr := w.Write(b)
-			n += int64(k)
-			return werr
-		})
-	return n, err
-}
-
-// parallelCompressCore is the shared driver of the buffered and
-// streaming parallel paths: it plans the cut, submits pooled segment
-// jobs with the worker budget as the in-flight cap, and hands completed
-// bodies to write in index order while later segments are still
-// compressing. A write error stops emission (remaining bodies are still
-// drained and recycled) and becomes the call's error.
+// ctx cancellation stops the run: segments not yet started are skipped,
+// the ones in flight are drained and discarded, and the call returns the
+// context's error. A request trace carried on ctx (see
+// obs.ContextWithRequest) is credited with the run's segment count and
+// per-segment queue and compress time. The report counts segments on
+// every path and the recovery work on the resilient one; only
+// cancellation, a Sink write error or invalid parameters make the
+// resilient path fail.
 //
-// data[:base] is preset-dictionary history: it is matched against but
-// never emitted, the segment plan covers data[base:] only, and the
-// Adler trailer sums data[base:]. With fdict set the container is the
-// six-byte FDICT header carrying dictID instead of the plain two-byte
-// one. Non-dictionary callers pass (0, false, 0).
-func parallelCompressCore(ctx context.Context, data []byte, base int, fdict bool, dictID uint32,
-	p lzss.Params, segment, workers int, carry bool, tr *obs.Tracer, write func([]byte) error) error {
+// This is the one driver behind every parallel mode: it plans the cut,
+// submits pooled segment jobs with the worker budget as the in-flight
+// cap, and emits completed bodies in index order. The job bodies stay
+// separate (runFast, runResilient), so recover, self-check and
+// stored-block degradation stay off the fast path.
+func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o ParallelOpts) ([]byte, ResilienceReport, error) {
+	var rep ResilienceReport
 	if err := p.Validate(); err != nil {
-		return err
+		return nil, rep, err
 	}
-	if workers <= 0 {
+	h, err := ZlibHeader(p.Window)
+	if err != nil {
+		return nil, rep, err
+	}
+	hdr := h[:]
+	// data[:base] is preset-dictionary history: matched against but never
+	// emitted, outside the segment plan and the Adler trailer.
+	base := 0
+	if o.Dict != nil {
+		o.Carry = true
+		tail := o.Dict
+		if reach := p.Window - 1; len(tail) > reach {
+			tail = tail[len(tail)-reach:]
+		}
+		// One contiguous buffer: [dictionary tail | data]. The copy is the
+		// price of adjacency (CompressTail needs the history physically in
+		// front of the segment); it is linear and dwarfed by matching.
+		data = append(append(make([]byte, 0, len(tail)+len(data)), tail...), data...)
+		base = len(tail)
+		dh, _ := zlibDictHeader(p.Window, AdlerChecksum(o.Dict)) // window validated above
+		hdr = dh[:]
+	}
+	workers := o.Workers
+	if workers <= 0 && !o.Resilient {
 		// Fast-path segments are pure CPU: in-flight work beyond the
 		// machine's parallelism buys nothing and interleaves extra pooled
 		// matchers (hash tables) through the caches. The resilient path
@@ -226,97 +210,94 @@ func parallelCompressCore(ctx context.Context, data []byte, base int, fdict bool
 		// injected stalls and deadlines, so overlap there is the point.
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if o.MaxSegmentRetries <= 0 {
+		o.MaxSegmentRetries = 2
+	}
 	k := deflateObs.Load()
-	rt := obs.RequestFromContext(ctx)
 	splitStart := time.Now()
-	plan := planSegments(len(data)-base, segment)
-	var hdr []byte
-	if fdict {
-		h, err := zlibDictHeader(p.Window, dictID)
-		if err != nil {
-			return err
-		}
-		hdr = h[:]
-	} else {
-		h, err := ZlibHeader(p.Window)
-		if err != nil {
-			return err
-		}
-		hdr = h[:]
+	plan := planSegments(len(data)-base, o.Segment)
+	rep.Segments = plan.nSeg
+	run := &parallelRun{ctx: ctx, data: data, p: p, o: o, rt: obs.RequestFromContext(ctx), adaptive: plan.adaptive}
+
+	// write lands stream bytes in the returned buffer (preallocated from
+	// the running ratio estimate) or the sink. After the first failure it
+	// drops everything: the stream is already unusable.
+	var out []byte
+	if o.Sink == nil {
+		out = make([]byte, 0, estimateOut(len(data)-base)+len(hdr))
 	}
 	var written int64
 	var firstErr error
-	sink := func(b []byte) {
+	write := func(b []byte) {
 		if firstErr != nil {
 			return
 		}
-		if err := write(b); err != nil {
+		if o.Sink == nil {
+			out = append(out, b...)
+		} else if _, err := o.Sink.Write(b); err != nil {
 			firstErr = err
 			return
 		}
 		written += int64(len(b))
 	}
-	sink(hdr)
+	write(hdr)
 
 	eng := defaultEngine()
 	jobs := getJobs(plan.nSeg)
 	defer putJobs(jobs)
-	emit := func(b *engine.Buf, err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if b != nil {
-			sink(b.B)
-			engine.PutBuf(b)
-		}
+	if o.Tracer != nil {
+		o.Tracer.Span("split", 0, splitStart, time.Since(splitStart),
+			fmt.Sprintf(`{"segments":%d,"workers":%d,"resilient":%t}`, plan.nSeg, eng.Shards(), o.Resilient))
 	}
-	if tr != nil {
-		tr.Span("split", 0, splitStart, time.Since(splitStart),
-			fmt.Sprintf(`{"segments":%d,"workers":%d}`, plan.nSeg, eng.Shards()))
-	}
-	submitErr := eng.SubmitAndStream(ctx, plan.nSeg, workers,
+	err = eng.SubmitAndStream(ctx, plan.nSeg, workers,
 		func(i int, r *engine.Request) engine.Job {
 			j := &(*jobs)[i]
 			lo := base + i*plan.segment
-			hi := lo + plan.segment
-			if hi > len(data) {
-				hi = len(data)
-			}
 			*j = pjob{
-				req: r, data: data, p: p, idx: i,
-				lo: lo, hi: hi, dictLo: dictLow(lo, carry, p),
-				final: i == plan.nSeg-1, tr: tr, rt: rt, adaptive: plan.adaptive,
+				req: r, run: run, idx: i,
+				lo: lo, hi: min(lo+plan.segment, len(data)), dictLo: dictLow(lo, o.Carry, p),
+				final: i == plan.nSeg-1,
 			}
-			if k != nil || rt != nil {
+			if k != nil || run.rt != nil {
 				j.submitAt = time.Now()
 			}
 			return j
-		}, emit)
+		}, func(b *engine.Buf, err error) {
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			if b != nil {
+				write(b.B)
+				engine.PutBuf(b)
+			}
+		})
+	rep.Retries = int(run.retries.Load())
+	rep.PanicsRecovered = int(run.panics.Load())
+	rep.Degraded = int(run.degraded.Load())
 	if firstErr != nil {
-		return firstErr
+		err = firstErr
 	}
-	if submitErr != nil {
-		return submitErr
+	if err != nil {
+		return nil, rep, fmt.Errorf("deflate: parallel compress: %w", err)
 	}
 	// Finalize: Adler-32 trailer onto the streamed body bytes (the
 	// preset-history prefix is matched against but never summed).
 	assembleStart := time.Now()
 	sum := AdlerChecksum(data[base:])
-	sink([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
+	write([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
 	if firstErr != nil {
-		return firstErr
+		return nil, rep, fmt.Errorf("deflate: parallel compress: %w", firstErr)
 	}
-	if tr != nil {
-		tr.Span("assemble", 0, assembleStart, time.Since(assembleStart), fmt.Sprintf(`{"bytes":%d}`, written))
+	if o.Tracer != nil {
+		o.Tracer.Span("assemble", 0, assembleStart, time.Since(assembleStart), fmt.Sprintf(`{"bytes":%d}`, written))
 	}
+	ratio := float64(len(data)-base) / float64(written)
 	if k != nil {
 		k.parallelRuns.Inc()
-		if written > 0 {
-			k.lastRatio.Set(float64(len(data)-base) / float64(written))
-		}
+		k.lastRatio.Set(ratio)
 	}
-	observeRatio(float64(len(data)-base) / float64(written))
-	return nil
+	observeRatio(ratio)
+	return out, rep, nil
 }
 
 // compressSegment produces byte-aligned Deflate blocks for one segment,

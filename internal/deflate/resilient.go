@@ -4,48 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"lzssfpga/internal/engine"
-	"lzssfpga/internal/lzss"
-	"lzssfpga/internal/obs"
 )
 
-// ParallelOpts configures ParallelCompressResilient. The zero value is
-// usable: default segment size and worker count, two retries per
-// segment, no per-attempt deadline, no hook.
-type ParallelOpts struct {
-	// Segment is the cut size in bytes (0 selects 256 KiB,
-	// SegmentAdaptive lets the engine's sizer choose); Workers caps the
-	// call's in-flight segments on the shared engine (0 means the
-	// engine's full width).
-	Segment int
-	Workers int
-	// Carry enables dictionary carry-over across segment cuts
-	// (ParallelCompressDict's mode). Carried segments reference history
-	// outside themselves, so their per-segment self-check is skipped —
-	// end-to-end verification still covers them.
-	Carry bool
-	// Tracer observes pipeline spans as in ParallelCompressTraced; may
-	// be nil.
-	Tracer *obs.Tracer
-	// MaxSegmentRetries is how many times a failed segment attempt is
-	// retried before the segment degrades to stored blocks (0 selects 2).
-	MaxSegmentRetries int
-	// SegmentTimeout bounds each attempt; an attempt that outlives it is
-	// treated as a stalled worker and retried (0 = no per-attempt bound).
-	SegmentTimeout time.Duration
-	// SegmentHook runs at the start of every attempt with the attempt's
-	// context, the segment index and the attempt number. It is the fault
-	// seam: internal/faultinject provides hooks that panic or stall. A
-	// panic in the hook (or anywhere in the attempt) is recovered and
-	// counted; a returned error fails the attempt.
-	SegmentHook func(ctx context.Context, seg, attempt int) error
-}
-
-// ResilienceReport summarizes what recovery machinery had to do during
-// one ParallelCompressResilient run.
+// ResilienceReport summarizes one ParallelCompress run: its segment
+// count and, on the resilient path, what the recovery machinery had to
+// do.
 type ResilienceReport struct {
 	// Segments is the segment count; Retries how many attempts beyond
 	// each segment's first were needed; PanicsRecovered how many
@@ -57,131 +22,25 @@ type ResilienceReport struct {
 	Degraded        int
 }
 
-// ParallelCompressResilient is ParallelCompress hardened for a hostile
-// runtime: every segment attempt runs under recover() (a panicking
-// worker is scrubbed and the segment retried), each attempt can carry a
-// deadline, each compressed segment body is self-checked by independent
-// re-inflation before being accepted, and a segment that exhausts its
-// retry budget degrades to raw stored blocks — worse ratio, guaranteed
-// correct — rather than failing the stream. The output is always one
-// standard zlib stream. Only context cancellation (or invalid
-// parameters) makes it return an error.
-//
-// The fast path (ParallelCompress and friends) is untouched: no
-// recover, no context, no self-check on that route.
-func ParallelCompressResilient(ctx context.Context, data []byte, p lzss.Params, o ParallelOpts) ([]byte, ResilienceReport, error) {
-	var rep ResilienceReport
-	if err := p.Validate(); err != nil {
-		return nil, rep, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, rep, err
-	}
-	maxRetries := o.MaxSegmentRetries
-	if maxRetries <= 0 {
-		maxRetries = 2
-	}
-	plan := planSegments(len(data), o.Segment)
-	rep.Segments = plan.nSeg
-	rt := obs.RequestFromContext(ctx)
-
-	splitStart := time.Now()
-	hdr, err := ZlibHeader(p.Window)
-	if err != nil {
-		return nil, rep, err
-	}
-	out := make([]byte, 0, estimateOut(len(data)))
-	out = append(out, hdr[:]...)
-	var retries, panics, degraded atomic.Int64
-
-	eng := defaultEngine()
-	jobs := getJobs(plan.nSeg)
-	defer putJobs(jobs)
-	cancelled := false
-	emit := func(b *engine.Buf, _ error) {
-		if b == nil {
-			// A job observed the cancelled context and gave up; the
-			// driver below turns this into the run's error.
-			cancelled = true
-			return
-		}
-		if !cancelled {
-			out = append(out, b.B...)
-		}
-		engine.PutBuf(b)
-	}
-	if o.Tracer != nil {
-		o.Tracer.Span("split", 0, splitStart, time.Since(splitStart),
-			fmt.Sprintf(`{"segments":%d,"workers":%d,"resilient":true}`, plan.nSeg, eng.Shards()))
-	}
-	submitErr := eng.SubmitAndStream(ctx, plan.nSeg, o.Workers,
-		func(i int, r *engine.Request) engine.Job {
-			j := &(*jobs)[i]
-			lo := i * plan.segment
-			hi := lo + plan.segment
-			if hi > len(data) {
-				hi = len(data)
-			}
-			*j = pjob{
-				req: r, data: data, p: p, idx: i,
-				lo: lo, hi: hi, dictLo: dictLow(lo, o.Carry, p),
-				final: i == plan.nSeg-1, tr: o.Tracer, rt: rt, adaptive: plan.adaptive,
-				ctx: ctx, opts: &o, maxRetries: maxRetries,
-				retries: &retries, panics: &panics, degradeds: &degraded,
-			}
-			if k := deflateObs.Load(); k != nil || rt != nil {
-				j.submitAt = time.Now()
-			}
-			return j
-		}, emit)
-	rep.Retries = int(retries.Load())
-	rep.PanicsRecovered = int(panics.Load())
-	rep.Degraded = int(degraded.Load())
-	if cancelled || submitErr != nil || ctx.Err() != nil {
-		cause := ctx.Err()
-		if cause == nil {
-			cause = submitErr
-		}
-		return nil, rep, fmt.Errorf("deflate: resilient compress cancelled: %w", cause)
-	}
-
-	assembleStart := time.Now()
-	sum := AdlerChecksum(data)
-	out = append(out, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
-	if o.Tracer != nil {
-		o.Tracer.Span("assemble", 0, assembleStart, time.Since(assembleStart), fmt.Sprintf(`{"bytes":%d}`, len(out)))
-	}
-	if k := deflateObs.Load(); k != nil {
-		k.parallelRuns.Inc()
-		k.lastRatio.Set(float64(len(data)) / float64(len(out)))
-	}
-	observeRatio(float64(len(data)) / float64(len(out)))
-	return out, rep, nil
-}
-
 // compressSegmentResilient drives the attempt loop for one segment.
 // It returns nil when the retry budget is exhausted (the caller
 // degrades to stored blocks); ctx cancellation also returns nil — the
-// driver notices ctx and fails the whole run.
-func compressSegmentResilient(ctx context.Context, sw *segWorker, buf []byte, origin, seg int, final bool,
-	maxRetries int, o ParallelOpts, retries, panics *atomic.Int64) *engine.Buf {
-	if sw == nil {
-		return nil
-	}
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if ctx.Err() != nil {
+// caller notices ctx and fails the segment.
+func (r *parallelRun) compressSegmentResilient(sw *segWorker, buf []byte, origin, seg int, final bool) *engine.Buf {
+	for attempt := 0; attempt <= r.o.MaxSegmentRetries; attempt++ {
+		if r.ctx.Err() != nil {
 			return nil
 		}
 		if attempt > 0 {
-			retries.Add(1)
+			r.retries.Add(1)
 		}
-		attemptCtx := ctx
+		attemptCtx := r.ctx
 		cancel := context.CancelFunc(func() {})
-		if o.SegmentTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, o.SegmentTimeout)
+		if r.o.SegmentTimeout > 0 {
+			attemptCtx, cancel = context.WithTimeout(r.ctx, r.o.SegmentTimeout)
 		}
 		sw.seg = seg
-		body, err := attemptSegment(attemptCtx, sw, buf, origin, seg, attempt, final, o.SegmentHook, panics)
+		body, err := r.attemptSegment(attemptCtx, sw, buf, origin, seg, attempt, final)
 		cancel()
 		if err != nil {
 			continue
@@ -206,11 +65,11 @@ func compressSegmentResilient(ctx context.Context, sw *segWorker, buf []byte, or
 // worker's matcher state scrubbed before reuse. A panic abandons the
 // attempt's arena buffer to the garbage collector — the worker's
 // buffer reference may itself be mid-update and cannot be trusted.
-func attemptSegment(ctx context.Context, sw *segWorker, buf []byte, origin, seg, attempt int, final bool,
-	hook func(context.Context, int, int) error, panics *atomic.Int64) (body *engine.Buf, err error) {
+func (r *parallelRun) attemptSegment(ctx context.Context, sw *segWorker, buf []byte, origin, seg, attempt int,
+	final bool) (body *engine.Buf, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			panics.Add(1)
+		if p := recover(); p != nil {
+			r.panics.Add(1)
 			if k := deflateObs.Load(); k != nil {
 				k.workerPanics.Inc()
 			}
@@ -218,10 +77,10 @@ func attemptSegment(ctx context.Context, sw *segWorker, buf []byte, origin, seg,
 			// rebuilds its hash state from scratch.
 			sw.m.Reset(nil)
 			sw.out.b = nil
-			body, err = nil, fmt.Errorf("%w: recovered worker panic: %v", ErrCorrupt, r)
+			body, err = nil, fmt.Errorf("%w: recovered worker panic: %v", ErrCorrupt, p)
 		}
 	}()
-	if hook != nil {
+	if hook := r.o.SegmentHook; hook != nil {
 		if err := hook(ctx, seg, attempt); err != nil {
 			return nil, err
 		}

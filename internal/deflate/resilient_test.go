@@ -22,17 +22,17 @@ func resilientTestData(n int) []byte {
 func TestResilientMatchesFastPath(t *testing.T) {
 	data := resilientTestData(300 << 10)
 	p := lzss.HWSpeedParams()
-	want, err := ParallelCompress(data, p, 64<<10, 4)
+	want, err := compressPar(data, p, ParallelOpts{Segment: 64 << 10, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := ParallelCompressResilient(context.Background(), data, p,
-		ParallelOpts{Segment: 64 << 10, Workers: 4})
+	got, rep, err := ParallelCompress(context.Background(), data, p,
+		ParallelOpts{Segment: 64 << 10, Workers: 4, Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("resilient path without faults diverged from ParallelCompress")
+		t.Fatal("resilient path without faults diverged from the fast path")
 	}
 	if rep.Retries != 0 || rep.Degraded != 0 || rep.PanicsRecovered != 0 {
 		t.Fatalf("clean run reported recovery: %+v", rep)
@@ -52,8 +52,8 @@ func TestResilientRecoversFromPanics(t *testing.T) {
 		}
 		return nil
 	}
-	out, rep, err := ParallelCompressResilient(context.Background(), data, p,
-		ParallelOpts{Segment: 32 << 10, Workers: 3, SegmentHook: hook})
+	out, rep, err := ParallelCompress(context.Background(), data, p,
+		ParallelOpts{Segment: 32 << 10, Workers: 3, Resilient: true, SegmentHook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestResilientDegradesToStored(t *testing.T) {
 		}
 		return nil
 	}
-	out, rep, err := ParallelCompressResilient(context.Background(), data, p,
-		ParallelOpts{Segment: 32 << 10, Workers: 2, MaxSegmentRetries: 3, SegmentHook: hook})
+	out, rep, err := ParallelCompress(context.Background(), data, p,
+		ParallelOpts{Segment: 32 << 10, Workers: 2, Resilient: true, MaxSegmentRetries: 3, SegmentHook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestResilientStallTimeout(t *testing.T) {
 		return nil
 	}
 	start := time.Now()
-	out, rep, err := ParallelCompressResilient(context.Background(), data, p,
-		ParallelOpts{Segment: 32 << 10, Workers: 2, SegmentTimeout: 20 * time.Millisecond, SegmentHook: hook})
+	out, rep, err := ParallelCompress(context.Background(), data, p,
+		ParallelOpts{Segment: 32 << 10, Workers: 2, Resilient: true, SegmentTimeout: 20 * time.Millisecond, SegmentHook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestResilientContextCancel(t *testing.T) {
 	p := lzss.HWSpeedParams()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := ParallelCompressResilient(ctx, data, p, ParallelOpts{Segment: 16 << 10})
+	_, _, err := ParallelCompress(ctx, data, p, ParallelOpts{Segment: 16 << 10, Resilient: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v", err)
 	}
@@ -143,8 +143,8 @@ func TestResilientCarryRoundTrip(t *testing.T) {
 		}
 		return nil
 	}
-	out, rep, err := ParallelCompressResilient(context.Background(), data, p,
-		ParallelOpts{Segment: 16 << 10, Workers: 4, Carry: true, SegmentHook: hook})
+	out, rep, err := ParallelCompress(context.Background(), data, p,
+		ParallelOpts{Segment: 16 << 10, Workers: 4, Carry: true, Resilient: true, SegmentHook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestResilientCarryRoundTrip(t *testing.T) {
 }
 
 func TestResilientEmptyInput(t *testing.T) {
-	out, rep, err := ParallelCompressResilient(context.Background(), nil, lzss.HWSpeedParams(), ParallelOpts{})
+	out, rep, err := ParallelCompress(context.Background(), nil, lzss.HWSpeedParams(), ParallelOpts{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,13 +95,7 @@ func TestSAParallelPipeline(t *testing.T) {
 		carry bool
 	}{{"segmented", false}, {"carry", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			var z []byte
-			var err error
-			if tc.carry {
-				z, err = ParallelCompressDict(data, p, 128<<10, 4)
-			} else {
-				z, err = ParallelCompress(data, p, 128<<10, 4)
-			}
+			z, err := compressPar(data, p, ParallelOpts{Segment: 128 << 10, Workers: 4, Carry: tc.carry})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -96,13 +96,7 @@ func TestEngineSoak(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				c := cases[(g+it)%len(cases)]
 				workers := 1 + (g+it)%5
-				var got []byte
-				var err error
-				if c.carry {
-					got, err = ParallelCompressDict(c.data, c.p, c.segment, workers)
-				} else {
-					got, err = ParallelCompress(c.data, c.p, c.segment, workers)
-				}
+				got, err := compressPar(c.data, c.p, ParallelOpts{Segment: c.segment, Workers: workers, Carry: c.carry})
 				if err != nil {
 					errc <- fmt.Errorf("g%d it%d: %v", g, it, err)
 					return
@@ -145,14 +139,14 @@ func TestEngineSoak(t *testing.T) {
 func TestReorderUnderWorkerStalls(t *testing.T) {
 	data := workload.Wiki(512<<10, 99)
 	p := lzss.HWSpeedParams()
-	want, err := ParallelCompress(data, p, 16<<10, 0)
+	want, err := compressPar(data, p, ParallelOpts{Segment: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		inj := faultinject.New(faultinject.Spec{WorkerStall: 0.4, StallMS: 20, Seed: seed})
-		got, rep, err := ParallelCompressResilient(context.Background(), data, p, ParallelOpts{
-			Segment: 16 << 10, SegmentHook: inj.SegmentHook,
+		got, rep, err := ParallelCompress(context.Background(), data, p, ParallelOpts{
+			Segment: 16 << 10, Resilient: true, SegmentHook: inj.SegmentHook,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -58,16 +58,17 @@ func (s *Server) resolveDict(id string) ([]byte, error) {
 // on one key coalesce onto a single engine pass. With no cache
 // configured it degrades to a plain compute.
 //
-// A negotiated dictionary always takes the preset path
-// (deflate.ParallelCompressPreset — the dictionary seeds segment 0's
-// window); dictionary-less requests keep the configured path,
-// resilient or streaming-buffered.
+// The compute is one configured engine pass (see compress): a
+// negotiated dictionary seeds segment 0's window and selects the FDICT
+// container, and it runs under the request's context and trace and
+// the configured resilience like any other request.
 func (s *Server) compressCached(ctx context.Context, data []byte, dictID string, dictBytes []byte) ([]byte, error) {
 	compute := func() ([]byte, error) {
-		if dictBytes != nil {
-			return deflate.ParallelCompressPreset(data, dictBytes, s.cfg.Params, s.cfg.Segment, s.cfg.Workers)
+		var buf writerBuf
+		if err := s.compress(ctx, data, dictBytes, &buf); err != nil {
+			return nil, err
 		}
-		return s.compress(ctx, data)
+		return buf.b, nil
 	}
 	if s.cache == nil {
 		return compute()
@@ -94,6 +95,16 @@ func (s *Server) compressCached(ctx context.Context, data []byte, dictID string,
 	}
 	out, _, err := s.cache.GetOrCompute(ctx, key, compute, verify)
 	return out, err
+}
+
+// writerBuf collects a compressed stream by append. The cache charges
+// a stored stream's length, not its capacity, so the slice it keeps
+// must not carry the headroom of ParallelCompress's presized buffer.
+type writerBuf struct{ b []byte }
+
+func (w *writerBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
 // decompressDict inflates z under the configured decode limits,

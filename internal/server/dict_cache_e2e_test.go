@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,6 +120,60 @@ func TestServerDictRoundTripBothFronts(t *testing.T) {
 		t.Fatalf("dictionary did not help: %d >= %d bytes", len(dicted), len(plain))
 	}
 
+	srv.Close() //nolint:errcheck
+	check()
+}
+
+// TestServerDictResilient: Config.Resilient covers dictionary requests.
+// Every segment's first attempt panics; a dictionary request on either
+// front must still be answered OK with a stream that round-trips
+// against the dictionary, after the hook ran twice per segment.
+func TestServerDictResilient(t *testing.T) {
+	check := leakCheck(t)
+	reg, err := dict.NewBuiltinRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var attempts atomic.Int64
+	srv, httpAddr, tcpAddr := newTestServer(t, server.Config{
+		Segment:   8 << 10,
+		Resilient: true,
+		Dicts:     reg,
+		SegmentHook: func(ctx context.Context, seg, attempt int) error {
+			attempts.Add(1)
+			if attempt == 0 {
+				panic(fmt.Sprintf("injected panic in segment %d", seg))
+			}
+			return nil
+		},
+	})
+	lim := srv.Config().Decode
+	p := workload.Wiki(48<<10, 7) // six 8 KiB segments
+	hc := client.NewHTTP(httpAddr)
+	tc, err := client.DialTCP(tcpAddr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	for _, front := range []string{"http", "tcp"} {
+		before := attempts.Load()
+		var z []byte
+		if front == "http" {
+			z, err = hc.CompressDict(context.Background(), p, "wiki")
+		} else {
+			z, err = tc.CompressDict(p, "wiki")
+		}
+		if err != nil {
+			t.Fatalf("%s: dictionary compress under panicking workers: %v", front, err)
+		}
+		if err := roundTripCheckDict(z, p, "wiki", lim); err != nil {
+			t.Fatalf("%s: %v", front, err)
+		}
+		if n := attempts.Load() - before; n != 12 {
+			t.Fatalf("%s: hook ran %d times, want 12 (a panic and a retry per segment)", front, n)
+		}
+	}
+	tc.Close()
 	srv.Close() //nolint:errcheck
 	check()
 }

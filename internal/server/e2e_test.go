@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lzssfpga/internal/cache/dict"
 	"lzssfpga/internal/deflate"
 	"lzssfpga/internal/server"
 	"lzssfpga/internal/server/client"
@@ -94,6 +95,26 @@ func roundTripCheck(z, want []byte, lim deflate.DecodeLimits) error {
 	}
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("round trip mismatch: %d bytes in, %d back", len(want), len(got))
+	}
+	return nil
+}
+
+// roundTripCheckDict is roundTripCheck for a stream compressed against
+// the built-in dictionary class dictID ("" = no dictionary).
+func roundTripCheckDict(z, want []byte, dictID string, lim deflate.DecodeLimits) error {
+	if dictID == "" {
+		return roundTripCheck(z, want, lim)
+	}
+	d, err := dict.Builtin(dictID)
+	if err != nil {
+		return err
+	}
+	got, err := deflate.ZlibDecompressDictLimited(z, d, lim)
+	if err != nil {
+		return fmt.Errorf("re-inflating %d-byte response against dictionary %q: %w", len(z), dictID, err)
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("dictionary round trip mismatch: %d bytes in, %d back", len(want), len(got))
 	}
 	return nil
 }

@@ -140,17 +140,19 @@ func (s *Server) gate(w http.ResponseWriter, r *http.Request, rt *obs.RequestTra
 }
 
 // timedWriter accumulates each Write's wall time into the trace's
-// response_write stage. It wraps the ResponseWriter on the streaming
-// compress path, where response bytes go out from inside the engine
-// call.
+// response_write stage and counts the bytes written. It wraps the
+// ResponseWriter on the streaming compress path, where response bytes
+// go out from inside the engine call.
 type timedWriter struct {
 	w  io.Writer
 	rt *obs.RequestTrace
+	n  int64
 }
 
 func (t *timedWriter) Write(p []byte) (int, error) {
 	start := time.Now()
 	n, err := t.w.Write(p)
+	t.n += int64(n)
 	t.rt.AddWrite(time.Since(start))
 	return n, err
 }
@@ -184,9 +186,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	ctx := obs.ContextWithRequest(r.Context(), rt)
 	var written int64
 	var svcErr error
-	if s.cache != nil || dictBytes != nil {
-		// Cache-fronted (or preset-dictionary) path: the response is a
-		// whole stored-or-computed artifact, written in one piece.
+	if s.cache != nil {
+		// Cache-fronted path: the response is a whole stored-or-computed
+		// artifact, written in one piece.
 		out, err := s.compressCached(ctx, body, dictID, dictBytes)
 		if err != nil {
 			countError()
@@ -201,22 +203,10 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			written = int64(n)
 			svcErr = werr
 		}
-	} else if s.cfg.Resilient {
-		out, _, err := deflateResilient(ctx, body, s.cfg)
-		if err != nil {
-			// Only cancellation errors here — the client is gone, there
-			// is no one to answer.
-			countError()
-			svcErr = err
-		} else {
-			wStart := time.Now()
-			n, werr := w.Write(out)
-			rt.AddWrite(time.Since(wStart))
-			written = int64(n)
-			svcErr = werr
-		}
 	} else {
-		written, svcErr = deflateTo(ctx, &timedWriter{w: w, rt: rt}, body, s.cfg)
+		tw := &timedWriter{w: w, rt: rt}
+		svcErr = s.compress(ctx, body, dictBytes, tw)
+		written = tw.n
 		if svcErr != nil {
 			// Mid-stream failure: the status line is already out, so the
 			// only honest signal is an aborted response body.

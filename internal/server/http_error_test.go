@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"lzssfpga/internal/cache/dict"
 	"lzssfpga/internal/server"
 	"lzssfpga/internal/server/client"
 	"lzssfpga/internal/workload"
@@ -227,43 +228,61 @@ func TestServerBackpressureBusy(t *testing.T) {
 
 // TestServerClientDisconnectReleasesSlot cancels an HTTP request while
 // its compression is held mid-flight: the slot must come back (no
-// leak into permanent 429s) and the next request must succeed.
+// leak into permanent 429s) and the next request must succeed. The
+// preset-dictionary row holds too: dictionary requests run the
+// configured resilient path under the request's context, so the gate
+// hook holds them and the disconnect stops their compute.
 func TestServerClientDisconnectReleasesSlot(t *testing.T) {
-	check := leakCheck(t)
-	gate := make(chan struct{})
-	srv, httpAddr, _ := newTestServer(t, server.Config{
-		MaxInflight: 1,
-		Resilient:   true,
-		SegmentHook: gateHook(gate),
-	})
-	lim := srv.Config().Decode
-	payload := workload.Wiki(4<<10, 9)
+	for _, tc := range []struct{ name, dictID string }{{"plain", ""}, {"wiki-dict", "wiki"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := leakCheck(t)
+			reg, err := dict.NewBuiltinRegistry()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate := make(chan struct{})
+			srv, httpAddr, _ := newTestServer(t, server.Config{
+				MaxInflight: 1,
+				Resilient:   true,
+				SegmentHook: gateHook(gate),
+				Dicts:       reg,
+			})
+			lim := srv.Config().Decode
+			payload := workload.Wiki(4<<10, 9)
 
-	hc := client.NewHTTP(httpAddr)
-	ctx, cancel := context.WithCancel(context.Background())
-	gone := make(chan struct{})
-	go func() {
-		defer close(gone)
-		hc.Compress(ctx, payload) //nolint:errcheck // failure is the point
-	}()
-	waitFor(t, "doomed request to take the slot", func() bool { return srv.Inflight() == 1 })
-	cancel()
-	<-gone
-	waitFor(t, "slot release after disconnect", func() bool { return srv.Inflight() == 0 })
+			hc := client.NewHTTP(httpAddr)
+			ctx, cancel := context.WithCancel(context.Background())
+			gone := make(chan struct{})
+			go func() {
+				defer close(gone)
+				hc.CompressDict(ctx, payload, tc.dictID) //nolint:errcheck // failure is the point
+			}()
+			waitFor(t, "doomed request to take the slot", func() bool { return srv.Inflight() == 1 })
+			// The request must still be held by the gate, not finished.
+			select {
+			case <-gone:
+				t.Fatal("request completed without waiting on the gate hook")
+			case <-time.After(50 * time.Millisecond):
+			}
+			cancel()
+			<-gone
+			waitFor(t, "slot release after disconnect", func() bool { return srv.Inflight() == 0 })
 
-	// The slot is back: the next request must be served, not bounced.
-	close(gate)
-	z, err := hc.Compress(context.Background(), payload)
-	if err != nil {
-		t.Fatalf("request after disconnect: %v", err)
+			// The slot is back: the next request must be served, not bounced.
+			close(gate)
+			z, err := hc.CompressDict(context.Background(), payload, tc.dictID)
+			if err != nil {
+				t.Fatalf("request after disconnect: %v", err)
+			}
+			if err := roundTripCheckDict(z, payload, tc.dictID, lim); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check()
+		})
 	}
-	if err := roundTripCheck(z, payload, lim); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	check()
 }
 
 // TestServerTCPProtocolErrors drives the wire front's in-band failure

@@ -56,7 +56,7 @@ func TestServerE2ESALevelRoundTrip(t *testing.T) {
 	// HTTP front: compress, verify byte-exact via the hardened inflater,
 	// then decompress back through the server itself.
 	for _, p := range payloads {
-		z, id, err := tracedPost(httpAddr, "/compress", p)
+		z, id, err := tracedPost(httpAddr, "/compress", "", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestServerE2ESALevelRoundTrip(t *testing.T) {
 		if err := roundTripCheck(z, p, lim); err != nil {
 			t.Fatal(err)
 		}
-		back, id, err := tracedPost(httpAddr, "/decompress", z)
+		back, id, err := tracedPost(httpAddr, "/decompress", "", z)
 		if err != nil {
 			t.Fatal(err)
 		}

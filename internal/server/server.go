@@ -35,7 +35,8 @@ type Config struct {
 	// Segment is the parallel cut size (0 selects 256 KiB,
 	// deflate.SegmentAdaptive enables the engine's online sizer);
 	// Workers caps each request's in-flight segments on the shared
-	// engine (0 means the engine's full width).
+	// engine (0 means GOMAXPROCS, or the engine's full width when
+	// Resilient).
 	Segment int
 	Workers int
 
@@ -62,7 +63,8 @@ type Config struct {
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 
-	// Resilient routes compression through ParallelCompressResilient:
+	// Resilient runs every compression on both fronts — preset-dictionary
+	// requests included — on deflate.ParallelCompress's hardened path:
 	// recovered worker panics, per-attempt deadlines, stored-block
 	// degradation — always-valid output under a hostile runtime.
 	// SegmentHook, MaxRetries and SegmentTimeout configure that path
@@ -163,6 +165,10 @@ type Server struct {
 	cache *cache.Cache
 	fp    uint64
 
+	// popts is Config's share of every compression's engine options;
+	// compress adds the request's dictionary and sink.
+	popts deflate.ParallelOpts
+
 	httpSrv *http.Server
 	tcp     *TCPFront
 
@@ -187,6 +193,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tcp = NewTCPFront(s.serveTCP, cfg.connPolicy())
 	s.fp = configFingerprint(cfg)
+	s.popts = deflate.ParallelOpts{
+		Segment:           cfg.Segment,
+		Workers:           cfg.Workers,
+		Resilient:         cfg.Resilient,
+		MaxSegmentRetries: cfg.MaxRetries,
+		SegmentTimeout:    cfg.SegmentTimeout,
+		SegmentHook:       cfg.SegmentHook,
+	}
 	if cfg.CacheBytes > 0 && !cfg.Params.HasCustomHash() {
 		s.cache = cache.New(cache.Config{MaxBytes: cfg.CacheBytes, Verify: cfg.CacheVerify})
 	}
@@ -369,32 +383,23 @@ func respond(r Reply, rt *obs.RequestTrace, status byte, payload []byte) error {
 	return err
 }
 
-// compress runs one request's payload through the shared engine —
-// resilient when configured, the deterministic fast path otherwise.
-func (s *Server) compress(ctx context.Context, data []byte) ([]byte, error) {
-	if s.cfg.Resilient {
-		out, _, err := deflateResilient(ctx, data, s.cfg)
-		return out, err
-	}
-	var buf writerBuf
-	if _, err := deflateTo(ctx, &buf, data, s.cfg); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
+// compress streams one request's payload through the shared engine
+// into sink with the configured options: against dict when non-nil,
+// resilient when configured. ctx carries the request trace and the
+// cancellation of a vanished client.
+func (s *Server) compress(ctx context.Context, data, dict []byte, sink io.Writer) error {
+	o := s.popts
+	o.Dict, o.Sink = dict, sink
+	_, _, err := deflate.ParallelCompress(ctx, data, s.cfg.Params, o)
+	return err
 }
 
+// decompress inflates untrusted input under the configured resource
+// bounds; every rejection wraps ErrCorrupt and it never panics.
 func (s *Server) decompress(z []byte) ([]byte, error) {
-	out, err := deflateDecode(z, s.cfg.Decode)
+	out, err := deflate.ZlibDecompressLimited(z, s.cfg.Decode)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return out, nil
-}
-
-// writerBuf is the minimal io.Writer collecting a TCP response body.
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

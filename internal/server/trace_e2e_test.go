@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"lzssfpga/internal/cache/dict"
 	"lzssfpga/internal/faultinject"
 	"lzssfpga/internal/obs"
 	"lzssfpga/internal/server"
@@ -61,7 +62,10 @@ func checkTrace(rt *obs.RequestTrace) error {
 // whose five stages are non-negative and sum to at most the total. The
 // scrape must expose a non-zero latency p99, and a fault-stalled
 // request must surface in the slowest ring attributed to the compress
-// stage, with a slow-log line carrying its trace ID.
+// stage, with a slow-log line carrying its trace ID. Compress requests
+// with and without a preset dictionary must file their engine work in
+// the trace on both fronts: one segment per cut and non-zero queue and
+// compress stages.
 func TestServerE2ETracing(t *testing.T) {
 	check := leakCheck(t)
 	reg := obs.NewRegistry()
@@ -71,7 +75,11 @@ func TestServerE2ETracing(t *testing.T) {
 	server.SetInspector(insp)
 	defer server.SetInspector(nil)
 
-	srv, httpAddr, tcpAddr := newTestServer(t, server.Config{Segment: 8 << 10, MaxInflight: 64})
+	dicts, err := dict.NewBuiltinRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, httpAddr, tcpAddr := newTestServer(t, server.Config{Segment: 8 << 10, MaxInflight: 64, Dicts: dicts})
 	payloads := [][]byte{workload.Wiki(24<<10, 3), []byte("trace me")}
 
 	// Phase 1: concurrent clients on both fronts, collecting the trace
@@ -128,6 +136,43 @@ func TestServerE2ETracing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
+	// One 48 KiB compress per front, with and without a dictionary: six
+	// 8 KiB segments each, all of them accounted in the trace.
+	dictPayload := workload.Wiki(48<<10, 4)
+	tc, err := client.DialTCP(tcpAddr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	for _, dictID := range []string{"", "wiki"} {
+		for _, front := range []string{"http", "tcp"} {
+			var id string
+			if front == "http" {
+				_, id, err = tracedPost(httpAddr, "/compress", dictID, dictPayload)
+			} else {
+				_, err = tc.CompressDict(dictPayload, dictID)
+				id = tc.LastTraceID()
+			}
+			if err != nil {
+				t.Fatalf("%s dict=%q: %v", front, dictID, err)
+			}
+			var rt *obs.RequestTrace
+			waitFor(t, fmt.Sprintf("trace ID %q in the inspector", id), func() bool {
+				rt = insp.Lookup(id)
+				return rt != nil
+			})
+			if err := checkTrace(rt); err != nil {
+				t.Fatal(err)
+			}
+			engine := rt.StageNs[obs.StageQueueWait] + rt.StageNs[obs.StageCompress]
+			if rt.Segments != 6 || engine <= 0 {
+				t.Fatalf("%s dict=%q: trace segments=%d queue_wait+compress=%s, want 6 and > 0",
+					front, dictID, rt.Segments, time.Duration(engine))
+			}
+		}
+	}
+	tc.Close()
 
 	// The quantile gauges must ride along in a plain scrape.
 	var prom strings.Builder
@@ -213,12 +258,12 @@ func TestServerE2ETracing(t *testing.T) {
 // each response's X-Lzss-Trace-Id into ids.
 func traceHTTPClient(addr string, payloads [][]byte, ids chan<- string) error {
 	for _, p := range payloads {
-		z, id, err := tracedPost(addr, "/compress", p)
+		z, id, err := tracedPost(addr, "/compress", "", p)
 		if err != nil {
 			return err
 		}
 		ids <- id
-		back, id, err := tracedPost(addr, "/decompress", z)
+		back, id, err := tracedPost(addr, "/decompress", "", z)
 		if err != nil {
 			return err
 		}
@@ -230,8 +275,18 @@ func traceHTTPClient(addr string, payloads [][]byte, ids chan<- string) error {
 	return nil
 }
 
-func tracedPost(addr, path string, body []byte) (out []byte, traceID string, err error) {
-	resp, err := http.Post("http://"+addr+path, "application/octet-stream", bytes.NewReader(body))
+// tracedPost POSTs body to path, negotiating dictID when non-empty, and
+// returns the response body and its trace ID.
+func tracedPost(addr, path, dictID string, body []byte) (out []byte, traceID string, err error) {
+	req, err := http.NewRequest(http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, "", err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	if dictID != "" {
+		req.Header.Set(server.DictHeader, dictID)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, "", fmt.Errorf("POST %s: %w", path, err)
 	}

@@ -95,12 +95,12 @@ func (b Board) RunFullResilient(ctx context.Context, corpus string, data []byte,
 	// loop cuts finer segments than the throughput-oriented default so
 	// worker-level faults and their recovery are exercised even on the
 	// small blocks integration tests use.
-	popts := deflate.ParallelOpts{Segment: 16 << 10, MaxSegmentRetries: pol.MaxRetries}
+	popts := deflate.ParallelOpts{Segment: 16 << 10, Resilient: true, MaxSegmentRetries: pol.MaxRetries}
 	if inj != nil {
 		popts.SegmentHook = inj.SegmentHook
 		popts.SegmentTimeout = inj.Spec().StallTimeout()
 	}
-	z, rep, err := deflate.ParallelCompressResilient(ctx, st.Bytes(), b.HW.Match, popts)
+	z, rep, err := deflate.ParallelCompress(ctx, st.Bytes(), b.HW.Match, popts)
 	if err != nil {
 		return out, fmt.Errorf("testbench: resilient compress: %w", err)
 	}

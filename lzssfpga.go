@@ -146,9 +146,9 @@ func NewReader(r io.Reader) (io.Reader, error) {
 	return deflate.NewReader(r)
 }
 
-// SegmentAdaptive, passed as the segment argument of any
-// CompressParallel* entry point, lets the engine's online sizer choose
-// the cut from observed per-segment service time. Adaptive cuts trade
+// SegmentAdaptive, passed as the segment argument of CompressParallel
+// or as ParallelOpts.Segment, lets the engine's online sizer choose the
+// cut from observed per-segment service time. Adaptive cuts trade
 // byte-determinism across runs for steadier worker utilization; the
 // default and explicit segment sizes stay deterministic.
 const SegmentAdaptive = deflate.SegmentAdaptive
@@ -157,26 +157,46 @@ const SegmentAdaptive = deflate.SegmentAdaptive
 // pigz-style: independent segments, deterministic output, standard
 // zlib format. segment 0 selects 256 KiB (SegmentAdaptive enables the
 // online sizer); workers caps this call's in-flight segments, 0 means
-// the engine's full width.
+// GOMAXPROCS. It is CompressParallelOpts with only those two options.
 func CompressParallel(data []byte, p Params, segment, workers int) ([]byte, error) {
-	return deflate.ParallelCompress(data, p, segment, workers)
+	z, _, err := deflate.ParallelCompress(context.Background(), data, p,
+		deflate.ParallelOpts{Segment: segment, Workers: workers})
+	return z, err
+}
+
+// ParallelOpts configures CompressParallelOpts: segmentation, worker
+// budget, dictionary carry-over or a preset dictionary, a streaming
+// sink, a span tracer, and the resilient path with its retry budget,
+// per-attempt deadline and fault-injection hook.
+type ParallelOpts = deflate.ParallelOpts
+
+// ResilienceReport is the ledger of one parallel run: its segment
+// count and, on the resilient path, retries, recovered panics and
+// segments degraded to stored blocks.
+type ResilienceReport = deflate.ResilienceReport
+
+// CompressParallelOpts is the parallel compressor with every option:
+// Carry presets each segment with its predecessor's window (pigz's
+// default, recovering nearly all of the ratio segmenting loses); Dict
+// compresses against a preset dictionary into an FDICT stream
+// (DecompressDict decodes it); Sink streams the output in order as
+// segments complete (the returned slice is then nil); Tracer records
+// the pipeline stages for chrome://tracing; Resilient recovers
+// panicking workers, bounds attempts by deadline, self-checks each
+// segment and degrades a segment that exhausts its retries to stored
+// blocks instead of failing the stream. Output is deterministic for
+// any worker count and identical on the fast and resilient paths. ctx
+// cancellation stops the run and returns its error.
+func CompressParallelOpts(ctx context.Context, data []byte, p Params, o ParallelOpts) ([]byte, ResilienceReport, error) {
+	return deflate.ParallelCompress(ctx, data, p, o)
 }
 
 // ResetParallelEngine closes the shared compression engine (draining
 // queued jobs and stopping its workers) and lets the next parallel
 // call rebuild it sized to the then-current GOMAXPROCS. It exists for
 // GOMAXPROCS sweeps and goroutine-leak checks; it must not race
-// in-flight CompressParallel* calls.
+// in-flight CompressParallel or CompressParallelOpts calls.
 func ResetParallelEngine() { deflate.ResetDefaultEngine() }
-
-// CompressParallelDict is CompressParallel with dictionary carry-over
-// across segment cuts (pigz's default): each segment's matcher is
-// preset with the trailing window of its predecessor, recovering nearly
-// all of the ratio lost to segmenting while staying a standard zlib
-// stream. Output is still deterministic for any worker count.
-func CompressParallelDict(data []byte, p Params, segment, workers int) ([]byte, error) {
-	return deflate.ParallelCompressDict(data, p, segment, workers)
-}
 
 // CompressDict compresses data against a preset dictionary (RFC 1950
 // FDICT): short blocks full of known boilerplate — an embedded logger's
@@ -259,7 +279,7 @@ type MetricsRegistry = obs.Registry
 
 // Tracer collects Chrome trace-event spans (chrome://tracing /
 // Perfetto-loadable JSON) for pipeline stages; see NewTracer and
-// CompressParallelTraced.
+// ParallelOpts.Tracer.
 type Tracer = obs.Tracer
 
 // NewMetricsRegistry returns an empty enabled metrics registry. Wire it
@@ -327,14 +347,6 @@ func ServeMetricsWith(reg *MetricsRegistry, insp *RequestInspector, addr string)
 	return obs.ServeWith(reg, insp, addr)
 }
 
-// CompressParallelTraced is CompressParallel (carry=false) or
-// CompressParallelDict (carry=true) with a span tracer recording the
-// pipeline stages — split, per-segment match and encode on the owning
-// worker's row, and assemble — for chrome://tracing. tr may be nil.
-func CompressParallelTraced(data []byte, p Params, segment, workers int, carry bool, tr *Tracer) ([]byte, error) {
-	return deflate.ParallelCompressTraced(data, p, segment, workers, carry, tr)
-}
-
 // DecodeLimits bounds what a decoder will do for untrusted input: a cap
 // on decompressed size and on block count. The zero value of a field
 // means unlimited; Decompress applies generous defaults.
@@ -345,24 +357,6 @@ type DecodeLimits = deflate.DecodeLimits
 // truncations additionally match io.ErrUnexpectedEOF.
 func DecompressLimited(z []byte, lim DecodeLimits) ([]byte, error) {
 	return deflate.ZlibDecompressLimited(z, lim)
-}
-
-// ParallelOpts configures CompressParallelResilient: segmentation,
-// retry budget, per-attempt deadline and the fault-injection hook.
-type ParallelOpts = deflate.ParallelOpts
-
-// ResilienceReport is the recovery ledger of one resilient parallel
-// run: retries, recovered panics, segments degraded to stored blocks.
-type ResilienceReport = deflate.ResilienceReport
-
-// CompressParallelResilient is CompressParallel hardened for a hostile
-// runtime: panicking workers are recovered and their segments retried,
-// attempts can carry deadlines, each segment is self-checked by
-// re-inflation, and a segment that exhausts its retries degrades to
-// stored blocks instead of failing the stream. Output is always a
-// standard zlib stream; only ctx cancellation makes it error.
-func CompressParallelResilient(ctx context.Context, data []byte, p Params, o ParallelOpts) ([]byte, ResilienceReport, error) {
-	return deflate.ParallelCompressResilient(ctx, data, p, o)
 }
 
 // FaultSpec declares seeded per-class fault-injection rates (frame
@@ -376,16 +370,6 @@ type FaultSpec = faultinject.Spec
 // segment hook and a stream corrupter, with an atomic ledger of what it
 // injected.
 type FaultInjector = faultinject.Injector
-
-// CompressParallelTo is CompressParallel with a streaming sink:
-// segment bodies are written to w in order as they complete, so the
-// first compressed bytes reach the consumer while later segments are
-// still compressing. ctx cancellation stops feeding the engine and
-// returns ctx.Err(); the partial stream must then be discarded. It
-// returns the byte count written.
-func CompressParallelTo(ctx context.Context, w io.Writer, data []byte, p Params, segment, workers int) (int64, error) {
-	return deflate.ParallelCompressTo(ctx, w, data, p, segment, workers)
-}
 
 // Server is the long-running network compression daemon (cmd/lzssd):
 // an HTTP front (streaming POST /compress, hardened POST /decompress)

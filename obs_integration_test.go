@@ -40,7 +40,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	data := workload.Wiki(600_000, 77)
 	tr := NewTracer()
-	z, err := CompressParallelTraced(data, HWSpeedParams(), 0, 4, false, tr)
+	z, _, err := CompressParallelOpts(context.Background(), data, HWSpeedParams(), ParallelOpts{Workers: 4, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +192,8 @@ func TestObservabilityResilienceCounters(t *testing.T) {
 		}
 		return nil
 	}
-	z, rep, err := CompressParallelResilient(context.Background(), data, HWSpeedParams(),
-		ParallelOpts{Segment: 32 << 10, Workers: 2, SegmentHook: hook})
+	z, rep, err := CompressParallelOpts(context.Background(), data, HWSpeedParams(),
+		ParallelOpts{Segment: 32 << 10, Workers: 2, Resilient: true, SegmentHook: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestObservabilityDisabledIsInert(t *testing.T) {
 	defer obsMu.Unlock()
 	EnableObservability(nil)
 	data := workload.CAN(100_000, 5)
-	z, err := CompressParallelTraced(data, HWSpeedParams(), 0, 2, true, nil)
+	z, _, err := CompressParallelOpts(context.Background(), data, HWSpeedParams(), ParallelOpts{Workers: 2, Carry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
