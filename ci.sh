@@ -5,12 +5,13 @@
 # fault-injection matrix, the engine soak and the engine goroutine-leak
 # check, and the server e2e/drain/soak suite), the cache stampede soak
 # and the preset-dictionary round-trip gate, the cluster kill/drain
-# chaos gate, the metric names-drift
+# chaos gate, the inflate drivers gate, the metric names-drift
 # guard, coverage floors on the serving (lzssd and the cluster front)
 # and matching layers, the
 # suffix-array differential battery (cross-matcher round trips, the
 # cache-key aliasing regression, the SA cluster front), a bounded fuzz
-# pass over the hardened inflate entry points, the wire-frame parser
+# pass over the hardened inflate entry points (differential against
+# compress/flate), the wire-frame parser
 # and the all-levels round-trip differential,
 # the observability overhead budget, and a fresh machine-readable
 # benchmark point — including the GOMAXPROCS scaling sweep and the
@@ -91,6 +92,16 @@ echo "== engine soak at GOMAXPROCS=4 (race) =="
 # 1-core CI box still runs the concurrent interleavings.
 require_tests 'TestEngineSoak|TestArena' -race ./internal/deflate ./internal/engine
 GOMAXPROCS=4 go test -race -run 'TestEngineSoak|TestArena' -count=1 ./internal/deflate ./internal/engine
+
+echo "== inflate drivers gate (race) =="
+# The one inflate core under every decoder: the gen-2 corpora, stdlib
+# streams and the repo's serial, parallel, stream, stored and
+# dictionary outputs decode byte-identically through InflateLimited,
+# StreamInflater at several Read sizes, ParseCommands + token.Expand,
+# ZlibDecompressDict and compress/flate; plus the two code-validity
+# regressions (an empty distance code is valid, an incomplete code is
+# not).
+race_gate 'TestInflateDriversAgree|TestInflateAcceptsEmptyDistanceCode|TestInflateRejectsIncompleteCode' ./internal/deflate
 
 echo "== engine goroutine-leak check (race) =="
 race_gate TestEngineCloseLeavesNoWorkers ./internal/engine

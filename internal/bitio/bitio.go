@@ -10,6 +10,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/bits"
@@ -189,17 +190,21 @@ func Reverse(v uint32, n uint) uint32 {
 // middle of a requested field.
 var ErrUnexpectedEOF = errors.New("bitio: unexpected end of bit stream")
 
-// Reader extracts bit fields, LSB-first, from an io.Reader.
+// Reader extracts bit fields, LSB-first, from a byte slice or an
+// io.Reader. Bits wait in a 64-bit buffer that Refill tops up a whole
+// word at a time. ReadBits serves fields from it; a table decoder uses
+// Refill, Peek and Consume directly.
 type Reader struct {
-	r    io.Reader
+	// acc holds nAcc buffered bits, LSB-first. Bits above nAcc are zero
+	// or already the stream's next bits: a word refill loads a partial
+	// byte early and loads it again, unchanged, on the next refill.
 	acc  uint64
 	nAcc uint
-	buf  []byte
-	pos  int
-	n    int
-	err  error
-	// bitsRead counts every consumed bit including alignment padding.
-	bitsRead int64
+	src  []byte    // input not yet moved into acc
+	r    io.Reader // nil for a byte-slice source
+	buf  []byte    // read buffer behind src for an io.Reader source
+	err  error     // first error from r
+	fed  int64     // bytes ever placed in src
 }
 
 // NewReader returns a Reader consuming from r.
@@ -207,40 +212,89 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r, buf: make([]byte, 4096)}
 }
 
+// NewReaderBytes returns a Reader over p. It reads p in place.
+func NewReaderBytes(p []byte) *Reader {
+	return &Reader{src: p, fed: int64(len(p))}
+}
+
 // Reset discards state and retargets the Reader at r.
 func (br *Reader) Reset(r io.Reader) {
-	br.r = r
-	br.acc, br.nAcc = 0, 0
-	br.pos, br.n = 0, 0
-	br.err = nil
-	br.bitsRead = 0
+	buf := br.buf
+	if buf == nil {
+		buf = make([]byte, 4096)
+	}
+	*br = Reader{r: r, buf: buf}
 }
 
 // BitsRead reports the total number of bits consumed so far.
-func (br *Reader) BitsRead() int64 { return br.bitsRead }
+func (br *Reader) BitsRead() int64 {
+	return (br.fed-int64(len(br.src)))*8 - int64(br.nAcc)
+}
 
-func (br *Reader) fill() {
-	for br.nAcc <= 56 {
-		if br.pos >= br.n {
-			if br.err != nil {
-				return
-			}
-			n, err := br.r.Read(br.buf)
-			br.pos, br.n = 0, n
-			if err != nil {
-				br.err = err
-				if n == 0 {
-					return
-				}
-			}
-			if n == 0 {
-				return
-			}
+// Refill tops the bit buffer up to at least 56 bits, or to the end of
+// the input.
+func (br *Reader) Refill() {
+	if len(br.src) >= 8 {
+		br.acc |= binary.LittleEndian.Uint64(br.src) << br.nAcc
+		br.src = br.src[(63-br.nAcc)>>3:]
+		br.nAcc |= 56
+		return
+	}
+	br.refillTail()
+}
+
+// refillTail is Refill within eight bytes of the end of src: byte by
+// byte, reading more from an io.Reader source when src runs dry.
+func (br *Reader) refillTail() {
+	for br.nAcc < 56 {
+		if len(br.src) == 0 && !br.more() {
+			return
 		}
-		br.acc |= uint64(br.buf[br.pos]) << br.nAcc
-		br.pos++
+		if len(br.src) >= 8 {
+			br.Refill()
+			return
+		}
+		br.acc |= uint64(br.src[0]) << br.nAcc
+		br.src = br.src[1:]
 		br.nAcc += 8
 	}
+}
+
+// more reads the next bytes of an io.Reader source into the empty src
+// and reports whether any arrived.
+func (br *Reader) more() bool {
+	if br.r == nil || br.err != nil {
+		return false
+	}
+	n, err := br.r.Read(br.buf)
+	br.src = br.buf[:n]
+	br.fed += int64(n)
+	if err != nil {
+		br.err = err
+	}
+	return n > 0
+}
+
+// Peek returns the buffered bits, LSB-first. Past the end of the input
+// the bits above Buffered are zero.
+func (br *Reader) Peek() uint64 { return br.acc }
+
+// Buffered reports how many bits Peek holds.
+func (br *Reader) Buffered() uint { return br.nAcc }
+
+// Consume discards the next n bits; n must not exceed Buffered.
+func (br *Reader) Consume(n uint) {
+	br.acc >>= n
+	br.nAcc -= n
+}
+
+// Short is the error for a field longer than the bits that remain: the
+// source's read error, or ErrUnexpectedEOF at a clean end of input.
+func (br *Reader) Short() error {
+	if br.err == nil || br.err == io.EOF {
+		return ErrUnexpectedEOF
+	}
+	return br.err
 }
 
 // ReadBits reads n bits (n in [0,32]) and returns them LSB-first.
@@ -249,21 +303,13 @@ func (br *Reader) ReadBits(n uint) (uint32, error) {
 		panic("bitio: ReadBits count > 32")
 	}
 	if br.nAcc < n {
-		br.fill()
+		br.Refill()
 		if br.nAcc < n {
-			if br.err == nil || br.err == io.EOF {
-				return 0, ErrUnexpectedEOF
-			}
-			return 0, br.err
+			return 0, br.Short()
 		}
 	}
-	v := uint32(br.acc & ((1 << n) - 1))
-	if n == 32 {
-		v = uint32(br.acc)
-	}
-	br.acc >>= n
-	br.nAcc -= n
-	br.bitsRead += int64(n)
+	v := uint32(br.acc & (1<<n - 1))
+	br.Consume(n)
 	return v, nil
 }
 
@@ -275,21 +321,30 @@ func (br *Reader) ReadBool() (bool, error) {
 
 // AlignByte discards bits up to the next byte boundary.
 func (br *Reader) AlignByte() {
-	rem := br.nAcc % 8
-	br.acc >>= rem
-	br.nAcc -= rem
-	br.bitsRead += int64(rem)
+	br.Consume(br.nAcc % 8)
 }
 
 // ReadBytes byte-aligns the stream and reads exactly len(p) bytes into p.
 func (br *Reader) ReadBytes(p []byte) error {
 	br.AlignByte()
-	for i := range p {
-		v, err := br.ReadBits(8)
-		if err != nil {
-			return err
-		}
-		p[i] = byte(v)
+	for ; len(p) > 0 && br.nAcc > 0; p = p[1:] {
+		p[0] = byte(br.acc)
+		br.Consume(8)
 	}
-	return nil
+	if len(p) == 0 {
+		return nil
+	}
+	// The bit buffer is empty: copy straight from the input, after
+	// dropping any early-loaded bits of it.
+	br.acc = 0
+	for {
+		n := copy(p, br.src)
+		br.src, p = br.src[n:], p[n:]
+		if len(p) == 0 {
+			return nil
+		}
+		if !br.more() {
+			return br.Short()
+		}
+	}
 }

@@ -149,14 +149,17 @@ func TestRoundTripRandomFields(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		r := NewReader(&buf)
-		for i, f := range fields {
-			got, err := r.ReadBits(f.n)
-			if err != nil {
-				t.Fatalf("trial %d field %d: %v", trial, i, err)
-			}
-			if got != f.v {
-				t.Fatalf("trial %d field %d: got %x want %x (n=%d)", trial, i, got, f.v, f.n)
+		// The same fields through both sources: an io.Reader and, in
+		// place, the byte slice.
+		for _, r := range []*Reader{NewReaderBytes(buf.Bytes()), NewReader(&buf)} {
+			for i, f := range fields {
+				got, err := r.ReadBits(f.n)
+				if err != nil {
+					t.Fatalf("trial %d field %d: %v", trial, i, err)
+				}
+				if got != f.v {
+					t.Fatalf("trial %d field %d: got %x want %x (n=%d)", trial, i, got, f.v, f.n)
+				}
 			}
 		}
 	}

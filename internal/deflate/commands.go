@@ -1,8 +1,7 @@
 package deflate
 
 import (
-	"bytes"
-	"fmt"
+	"math"
 
 	"lzssfpga/internal/bitio"
 	"lzssfpga/internal/token"
@@ -10,118 +9,17 @@ import (
 
 // ParseCommands decodes a raw Deflate stream into the LZSS command
 // stream it encodes — the view a hardware decompressor's copy engine
-// consumes. Stored-block bytes become literal commands.
+// consumes. Stored-block bytes become literal commands. It runs the
+// inflate core under DefaultDecodeLimits with every symbol recorded as
+// a command.
 //
 // token.Expand(ParseCommands(x)) equals Inflate(x) for every valid x;
 // the property is enforced by tests.
 func ParseCommands(data []byte) ([]token.Command, error) {
-	return ParseCommandsWithHistory(data, 0)
-}
-
-// ParseCommandsWithHistory is ParseCommands for streams whose matches
-// may reach back into `history` bytes of preset dictionary.
-func ParseCommandsWithHistory(data []byte, history int) ([]token.Command, error) {
-	br := bitio.NewReader(bytes.NewReader(data))
-	var cmds []token.Command
-	produced := history
-	for {
-		final, err := br.ReadBool()
-		if err != nil {
-			return nil, err
-		}
-		btype, err := br.ReadBits(2)
-		if err != nil {
-			return nil, err
-		}
-		switch btype {
-		case 0:
-			br.AlignByte()
-			n, err := br.ReadBits(16)
-			if err != nil {
-				return nil, err
-			}
-			nlen, err := br.ReadBits(16)
-			if err != nil {
-				return nil, err
-			}
-			if n != ^nlen&0xFFFF {
-				return nil, fmt.Errorf("%w: stored length check", ErrCorrupt)
-			}
-			for i := 0; i < int(n); i++ {
-				v, err := br.ReadBits(8)
-				if err != nil {
-					return nil, err
-				}
-				cmds = append(cmds, token.Lit(byte(v)))
-				produced++
-			}
-		case 1:
-			cmds, produced, err = parseSymbols(br, cmds, produced, fixedLitDec, fixedDistDec)
-			if err != nil {
-				return nil, err
-			}
-		case 2:
-			lit, dist, err := readDynamicHeader(br)
-			if err != nil {
-				return nil, err
-			}
-			cmds, produced, err = parseSymbols(br, cmds, produced, lit, dist)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: reserved block type", ErrCorrupt)
-		}
-		if final {
-			return cmds, nil
-		}
+	f := newInflater(bitio.NewReaderBytes(data), DefaultDecodeLimits(), 0)
+	f.record = true
+	if _, err := f.inflate(nil, math.MaxInt); err != nil {
+		return nil, err
 	}
-}
-
-func parseSymbols(br *bitio.Reader, cmds []token.Command, produced int, lit, dist *huffDec) ([]token.Command, int, error) {
-	for {
-		sym, err := lit.decode(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		switch {
-		case sym < 256:
-			cmds = append(cmds, token.Lit(byte(sym)))
-			produced++
-		case sym == endOfBlock:
-			return cmds, produced, nil
-		case sym <= maxLitLen:
-			i := sym - 257
-			length := int(lengthBase[i])
-			if lengthExtra[i] > 0 {
-				e, err := br.ReadBits(uint(lengthExtra[i]))
-				if err != nil {
-					return nil, 0, err
-				}
-				length += int(e)
-			}
-			dsym, err := dist.decode(br)
-			if err != nil {
-				return nil, 0, err
-			}
-			if dsym >= numDistSym {
-				return nil, 0, fmt.Errorf("%w: distance symbol %d", ErrCorrupt, dsym)
-			}
-			d := int(distBase[dsym])
-			if distExtra[dsym] > 0 {
-				e, err := br.ReadBits(uint(distExtra[dsym]))
-				if err != nil {
-					return nil, 0, err
-				}
-				d += int(e)
-			}
-			if d > produced {
-				return nil, 0, fmt.Errorf("%w: distance %d exceeds produced %d", ErrCorrupt, d, produced)
-			}
-			cmds = append(cmds, token.Copy(d, length))
-			produced += length
-		default:
-			return nil, 0, fmt.Errorf("%w: literal/length symbol %d", ErrCorrupt, sym)
-		}
-	}
+	return f.cmds, nil
 }

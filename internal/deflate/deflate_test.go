@@ -518,25 +518,6 @@ func BenchmarkFixedDeflate(b *testing.B) {
 	}
 }
 
-func BenchmarkInflate(b *testing.B) {
-	src := []byte(strings.Repeat("benchmark payload with repeats repeats ", 1600))[:65536]
-	cmds, _, err := lzss.Compress(src, lzss.HWSpeedParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	body, err := FixedDeflate(cmds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Inflate(body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestInflateNeverPanicsOnCorrupt(t *testing.T) {
 	// Bit-flip fuzz over valid streams: the decoder may reject or (for
 	// flips landing in stored payloads) produce different bytes, but it

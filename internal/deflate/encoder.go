@@ -280,41 +280,3 @@ func ZlibCompressDict(data, dict []byte, p lzss.Params) ([]byte, error) {
 	sum := AdlerChecksum(data)
 	return append(out, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)), nil
 }
-
-// ZlibDecompressDict decodes a preset-dictionary zlib stream, verifying
-// DICTID against the supplied dictionary.
-func ZlibDecompressDict(data, dict []byte) ([]byte, error) {
-	if len(data) < 10 {
-		return nil, fmt.Errorf("%w: dictionary zlib stream too short", ErrCorrupt)
-	}
-	cmf, flg := data[0], data[1]
-	if cmf&0x0F != 8 || (uint32(cmf)*256+uint32(flg))%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header", ErrCorrupt)
-	}
-	if flg&0x20 == 0 {
-		return nil, fmt.Errorf("%w: stream has no preset dictionary", ErrCorrupt)
-	}
-	dictID := uint32(data[2])<<24 | uint32(data[3])<<16 | uint32(data[4])<<8 | uint32(data[5])
-	if got := AdlerChecksum(dict); got != dictID {
-		return nil, fmt.Errorf("%w: DICTID %08x does not match dictionary %08x", ErrCorrupt, dictID, got)
-	}
-	body := data[6 : len(data)-4]
-	hist := dict
-	if len(hist) > 32768 {
-		hist = hist[len(hist)-32768:]
-	}
-	cmds, err := ParseCommandsWithHistory(body, len(hist))
-	if err != nil {
-		return nil, err
-	}
-	out, err := token.ExpandWithHistory(hist, cmds)
-	if err != nil {
-		return nil, err
-	}
-	tr := data[len(data)-4:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
-	if got := AdlerChecksum(out); got != want {
-		return nil, fmt.Errorf("%w: adler32 %08x != %08x", ErrCorrupt, got, want)
-	}
-	return out, nil
-}

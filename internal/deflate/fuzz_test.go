@@ -8,13 +8,20 @@ import (
 	"testing"
 
 	"lzssfpga/internal/lzss"
+	"lzssfpga/internal/token"
 )
 
 // Native fuzz targets (run as seed-corpus tests under `go test`, and as
 // mutation fuzzers under `go test -fuzz=...`).
 
-// FuzzInflate feeds arbitrary bytes to every decoder entry point: they
-// must reject or decode, never panic.
+// FuzzInflate feeds arbitrary bytes to every decoder entry point. They
+// must reject or decode, never panic, and type every rejection as
+// ErrCorrupt. Under tight limits the limited decoders must honor
+// MaxOutputBytes exactly. Under a 1 MiB cap InflateLimited is the
+// differential oracle: it agrees with compress/flate on accepting or
+// rejecting the stream, and on the bytes, except on a stream flate
+// decodes past the cap; StreamInflater and token.Expand(ParseCommands(x))
+// agree with it.
 func FuzzInflate(f *testing.F) {
 	seed, _ := FixedDeflate(nil)
 	f.Add(seed)
@@ -22,30 +29,58 @@ func FuzzInflate(f *testing.F) {
 	f.Add([]byte{0x01, 0x00, 0x00, 0xFF, 0xFF})
 	f.Add([]byte{0x78, 0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		Inflate(data)        //nolint:errcheck
-		ParseCommands(data)  //nolint:errcheck
-		ZlibDecompress(data) //nolint:errcheck
-		GzipDecompress(data) //nolint:errcheck
-		r := NewStreamInflater(bytes.NewReader(data))
-		io.Copy(io.Discard, io.LimitReader(r, 1<<20)) //nolint:errcheck
+		limited := func(name string, dec func([]byte, DecodeLimits) ([]byte, error), lim DecodeLimits) ([]byte, error) {
+			t.Helper()
+			out, err := dec(data, lim)
+			if err == nil && len(out) > lim.MaxOutputBytes {
+				t.Fatalf("%s produced %d bytes over a %d cap", name, len(out), lim.MaxOutputBytes)
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s error not wrapping ErrCorrupt: %v", name, err)
+			}
+			return out, err
+		}
+		tight := DecodeLimits{MaxOutputBytes: 1 << 16, MaxBlocks: 1 << 10}
+		limited("InflateLimited", InflateLimited, tight)               //nolint:errcheck
+		limited("ZlibDecompressLimited", ZlibDecompressLimited, tight) //nolint:errcheck
+		GzipDecompress(data)                                           //nolint:errcheck
 
-		// The limited decoders must honor MaxOutputBytes exactly and
-		// type every rejection as ErrCorrupt.
-		lim := DecodeLimits{MaxOutputBytes: 1 << 16, MaxBlocks: 1 << 10}
-		out, err := InflateLimited(data, lim)
-		if err == nil && len(out) > lim.MaxOutputBytes {
-			t.Fatalf("InflateLimited produced %d bytes over a %d cap", len(out), lim.MaxOutputBytes)
+		// The differential shares the default block cap with
+		// ParseCommands, which decodes under DefaultDecodeLimits.
+		lim := DefaultDecodeLimits()
+		lim.MaxOutputBytes = 1 << 20
+		out, err := limited("InflateLimited", InflateLimited, lim)
+		upToCap := func(r io.Reader) ([]byte, error) {
+			return io.ReadAll(io.LimitReader(r, int64(lim.MaxOutputBytes)+1))
 		}
-		if err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("InflateLimited error not wrapping ErrCorrupt: %v", err)
+		want, ferr := upToCap(flate.NewReader(bytes.NewReader(data)))
+		sout, serr := upToCap(NewStreamInflater(bytes.NewReader(data)))
+		cmds, perr := ParseCommands(data)
+		if perr != nil && !errors.Is(perr, ErrCorrupt) {
+			t.Fatalf("ParseCommands error not wrapping ErrCorrupt: %v", perr)
 		}
-		zout, zerr := ZlibDecompressLimited(data, lim)
-		if zerr == nil && len(zout) > lim.MaxOutputBytes {
-			t.Fatalf("ZlibDecompressLimited produced %d bytes over a %d cap", len(zout), lim.MaxOutputBytes)
+		if errors.Is(err, ErrLimit) {
+			if ferr == nil && len(want) <= lim.MaxOutputBytes {
+				t.Fatalf("InflateLimited hit its %d-byte cap; compress/flate decodes %d bytes", lim.MaxOutputBytes, len(want))
+			}
+			return
 		}
-		if zerr != nil && !errors.Is(zerr, ErrCorrupt) {
-			t.Fatalf("ZlibDecompressLimited error not wrapping ErrCorrupt: %v", zerr)
+		agree := func(name string, got []byte, gerr error) {
+			t.Helper()
+			if (err == nil) != (gerr == nil) {
+				t.Fatalf("InflateLimited: %v; %s: %v", err, name, gerr)
+			}
+			if err == nil && !bytes.Equal(out, got) {
+				t.Fatalf("%s decodes %d bytes unlike InflateLimited's %d", name, len(got), len(out))
+			}
 		}
+		agree("compress/flate", want, ferr)
+		agree("StreamInflater", sout, serr)
+		var p []byte
+		if perr == nil {
+			p, perr = token.Expand(cmds)
+		}
+		agree("ParseCommands", p, perr)
 	})
 }
 

@@ -1,77 +1,171 @@
 package deflate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"lzssfpga/internal/bitio"
+	"lzssfpga/internal/token"
 )
 
-// The inflater is implemented independently of the encoder (canonical
-// decode via per-length counts, the "puff" algorithm) so that a bug in
-// the encoder's table construction cannot cancel out in round-trip
-// tests.
+// The inflater builds its decode tables from the code lengths in the
+// stream alone, never from the encoder's tables in huffman.go, so that
+// a bug in the encoder's table construction cannot cancel out in
+// round-trip tests.
 
 // ErrCorrupt reports a malformed Deflate or ZLib stream.
 var ErrCorrupt = errors.New("deflate: corrupt stream")
 
-// huffDec decodes canonical Huffman codes bit by bit.
+var (
+	errBadCode   = fmt.Errorf("%w: invalid Huffman code", ErrCorrupt)
+	errEmptyCode = fmt.Errorf("%w: empty code", ErrCorrupt)
+)
+
+// A huffDec entry holds a code's length in bits 0-6, entryLink in bit
+// 7, and from bit 8 the symbol or, for a link, the offset of a
+// second-level table. A bit pattern that starts no code has length
+// entryNone, more bits than a bitio.Reader ever buffers, so one
+// comparison rejects it with the codes the input ends inside.
+const (
+	tableBits = 10
+	tableMask = 1<<tableBits - 1
+	entryLen  = 1<<7 - 1
+	entryNone = entryLen
+	entryLink = 1 << 7
+)
+
+// huffDec decodes one canonical Huffman code (RFC 1951 §3.2.2) by
+// table lookup, in the shape of zlib's inftrees: the next tableBits
+// input bits index a primary table that resolves every shorter code in
+// one step, and the first tableBits bits of a longer code link to a
+// second-level table indexed by the bits after them.
 type huffDec struct {
-	counts [maxCodeLen + 1]int
-	syms   []int
+	table   [1 << tableBits]uint32
+	sub     []uint32 // second-level tables of subMask+1 entries each
+	subMask uint32
 }
 
 func newHuffDec(lengths []uint8) (*huffDec, error) {
 	h := &huffDec{}
-	for _, l := range lengths {
-		if l > maxCodeLen {
-			return nil, fmt.Errorf("%w: code length %d", ErrCorrupt, l)
-		}
-		h.counts[l]++
-	}
-	if h.counts[0] == len(lengths) {
-		return nil, fmt.Errorf("%w: empty code", ErrCorrupt)
-	}
-	// Over-subscription check.
-	left := 1
-	for l := 1; l <= maxCodeLen; l++ {
-		left <<= 1
-		left -= h.counts[l]
-		if left < 0 {
-			return nil, fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
-		}
-	}
-	var offs [maxCodeLen + 1]int
-	for l := 1; l < maxCodeLen; l++ {
-		offs[l+1] = offs[l] + h.counts[l]
-	}
-	h.syms = make([]int, len(lengths))
-	for sym, l := range lengths {
-		if l != 0 {
-			h.syms[offs[l]] = sym
-			offs[l]++
-		}
+	if err := h.build(lengths); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
 
-func (h *huffDec) decode(br *bitio.Reader) (int, error) {
-	code, first, index := 0, 0, 0
+// build fills h from the code lengths of symbols 0..len(lengths)-1. It
+// rejects over-subscribed and incomplete codes, except a single code of
+// length 1, which compress/flate and zlib accept too. A code with no
+// lengths at all returns errEmptyCode and leaves h matching nothing: a
+// distance code may be empty when its block holds only literals.
+func (h *huffDec) build(lengths []uint8) error {
+	var count [maxCodeLen + 1]int
+	for _, l := range lengths {
+		if l > maxCodeLen {
+			return fmt.Errorf("%w: code length %d", ErrCorrupt, l)
+		}
+		count[l]++
+	}
+	count[0] = 0
+	left, maxLen := 1, 0
 	for l := 1; l <= maxCodeLen; l++ {
-		b, err := br.ReadBits(1)
-		if err != nil {
-			return 0, err
+		left = left<<1 - count[l]
+		if left < 0 {
+			return fmt.Errorf("%w: over-subscribed code", ErrCorrupt)
 		}
-		code |= int(b)
-		count := h.counts[l]
-		if code-first < count {
-			return h.syms[index+code-first], nil
+		if count[l] > 0 {
+			maxLen = l
 		}
-		index += count
-		first = (first + count) << 1
+	}
+	if left > 0 {
+		for i := range h.table {
+			h.table[i] = entryNone
+		}
+		switch {
+		case maxLen == 0:
+			return errEmptyCode
+		case maxLen > 1 || count[1] > 1:
+			return fmt.Errorf("%w: incomplete code", ErrCorrupt)
+		}
+	}
+	// Sort the symbols by code length; canonical codes then count up
+	// through them in order (RFC 1951 §3.2.2).
+	var offs [maxCodeLen + 2]int
+	for l := 1; l <= maxCodeLen; l++ {
+		offs[l+1] = offs[l] + count[l]
+	}
+	var sorted [numLitLenSym]uint16
+	for sym, l := range lengths {
+		if l != 0 {
+			sorted[offs[l]] = uint16(sym)
+			offs[l]++
+		}
+	}
+	subBits := max(maxLen-tableBits, 0)
+	h.subMask = 1<<subBits - 1
+	h.sub = h.sub[:0]
+	// Codes left-aligned to maxLen bits increase in this order, so the
+	// long codes sharing a primary index arrive together.
+	code, i, prefix := 0, 0, -1
+	for l := 1; l <= maxLen; l++ {
+		for end := i + count[l]; i < end; i++ {
+			e := uint32(sorted[i])<<8 | uint32(l)
+			rev := int(bits.Reverse16(uint16(code)) >> (16 - l))
+			code++
+			if l <= tableBits {
+				for j := rev; j < 1<<tableBits; j += 1 << l {
+					h.table[j] = e
+				}
+				continue
+			}
+			if p := rev & tableMask; p != prefix {
+				prefix = p
+				h.table[p] = uint32(len(h.sub))<<8 | entryLink
+				h.sub = append(h.sub, make([]uint32, 1<<subBits)...)
+			}
+			sub := h.sub[len(h.sub)-1<<subBits:]
+			for j := rev >> tableBits; j < len(sub); j += 1 << (l - tableBits) {
+				sub[j] = e
+			}
+		}
 		code <<= 1
 	}
-	return 0, fmt.Errorf("%w: invalid Huffman code", ErrCorrupt)
+	return nil
+}
+
+// decode reads one symbol of h from br: one table lookup on the peeked
+// bits, two for a code longer than tableBits. The caller refills br
+// first. decode returns -1, and consumes nothing, when no code starts
+// with the peeked bits or the input ends inside the code; err says
+// which.
+func (h *huffDec) decode(br *bitio.Reader) int {
+	e := h.entry(br.Peek())
+	n := uint(e & entryLen)
+	if n > br.Buffered() {
+		return -1
+	}
+	br.Consume(n)
+	return int(e >> 8)
+}
+
+func (h *huffDec) entry(b uint64) uint32 {
+	e := h.table[b&tableMask]
+	if e&entryLink != 0 {
+		e = h.sub[e>>8+uint32(b>>tableBits)&h.subMask]
+	}
+	return e
+}
+
+// err is the error for a decode that returned -1.
+func (h *huffDec) err(br *bitio.Reader) error {
+	if h.entry(br.Peek())&entryLen == entryNone {
+		return errBadCode
+	}
+	return br.Short()
 }
 
 var (
@@ -95,174 +189,312 @@ func init() {
 // length code lengths are stored (RFC 1951 §3.2.7).
 var codeLengthOrder = [19]int{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
 
+// Where the inflater is in the stream.
+const (
+	stateHeader  = iota // a block header is next
+	stateStored         // inside a stored block
+	stateHuffman        // inside a fixed or dynamic Huffman block
+	stateDone           // the final block has ended
+)
+
+// inflater is the one decode core under every entry point: one
+// block-header reader, one symbol loop, and the one place DecodeLimits
+// are enforced. The entry points differ only in where the output goes:
+// InflateLimited and the zlib decoders grow one slice, StreamInflater
+// decodes into its window in bounded chunks, and ParseCommands records
+// every symbol as an LZSS command too.
+type inflater struct {
+	br     *bitio.Reader
+	lim    DecodeLimits
+	maxOut int // output slice length not to pass: the history plus lim.MaxOutputBytes
+	blocks int
+	state  int
+	final  bool // the current block is the last
+	stored int  // bytes left in the current stored block
+
+	lit, dist                *huffDec
+	dynLit, dynDist, codeLen huffDec
+
+	record bool
+	cmds   []token.Command
+}
+
+// newInflater decodes br under lim, after history bytes of output that
+// matches may reach into but the output limit does not count.
+func newInflater(br *bitio.Reader, lim DecodeLimits, history int) *inflater {
+	f := &inflater{br: br, lim: lim, maxOut: math.MaxInt}
+	if lim.MaxOutputBytes > 0 {
+		f.maxOut = history + lim.MaxOutputBytes
+	}
+	return f
+}
+
+// inflate appends decoded bytes to out until the final block ends or
+// len(out) reaches stop, and returns out. The bytes already in out are
+// the history that matches reach back into.
+func (f *inflater) inflate(out []byte, stop int) ([]byte, error) {
+	var err error
+	for err == nil && len(out) < stop && f.state != stateDone {
+		switch f.state {
+		case stateHeader:
+			err = f.header()
+		case stateStored:
+			out, err = f.storedBytes(out, stop)
+		default:
+			out, err = f.symbols(out, stop)
+		}
+	}
+	return out, normEOF(err)
+}
+
+// inflateAll decodes all of data into a new slice that starts with
+// the preset history hist.
+func inflateAll(data, hist []byte, lim DecodeLimits) ([]byte, error) {
+	f := newInflater(bitio.NewReaderBytes(data), lim, len(hist))
+	// Room for 3x expansion, above the 1.84-2.49x the repository's
+	// benchmark workloads measure, spares their streams the append
+	// regrowths, which cost more time and allocate more bytes in all
+	// than the unused headroom does. A stream that expands more grows
+	// the slice as it goes.
+	out := make([]byte, 0, len(hist)+min(f.maxOut-len(hist), 3*len(data)+8))
+	out, err := f.inflate(append(out, hist...), math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// header reads a block header and everything up to the block's data.
+func (f *inflater) header() error {
+	if f.lim.MaxBlocks > 0 && f.blocks >= f.lim.MaxBlocks {
+		return fmt.Errorf("%w: %w: more than %d blocks", ErrCorrupt, ErrLimit, f.lim.MaxBlocks)
+	}
+	f.blocks++
+	v, err := f.br.ReadBits(3)
+	if err != nil {
+		return err
+	}
+	f.final = v&1 != 0
+	switch v >> 1 {
+	case 0:
+		f.br.AlignByte()
+		v, err := f.br.ReadBits(32)
+		if err != nil {
+			return err
+		}
+		if v&0xFFFF != ^v>>16 {
+			return fmt.Errorf("%w: stored length check", ErrCorrupt)
+		}
+		f.stored, f.state = int(v&0xFFFF), stateStored
+	case 1:
+		f.lit, f.dist, f.state = fixedLitDec, fixedDistDec, stateHuffman
+	case 2:
+		if err := f.dynamicHeader(); err != nil {
+			return err
+		}
+		f.lit, f.dist, f.state = &f.dynLit, &f.dynDist, stateHuffman
+	default:
+		return fmt.Errorf("%w: reserved block type", ErrCorrupt)
+	}
+	return nil
+}
+
+func (f *inflater) endBlock() {
+	f.state = stateHeader
+	if f.final {
+		f.state = stateDone
+	}
+}
+
+// dynamicHeader reads a dynamic block's code-length code, then the
+// literal/length and distance code lengths it codes (RFC 1951 §3.2.7),
+// and builds f's dynamic tables from them.
+func (f *inflater) dynamicHeader() error {
+	v, err := f.br.ReadBits(14)
+	if err != nil {
+		return err
+	}
+	nLit, nDist, nCl := int(v&31)+257, int(v>>5&31)+1, int(v>>10)+4
+	if nLit > 286 || nDist > numDistSym {
+		return fmt.Errorf("%w: dynamic header counts", ErrCorrupt)
+	}
+	var clLens [19]uint8
+	for i := 0; i < nCl; i++ {
+		v, err := f.br.ReadBits(3)
+		if err != nil {
+			return err
+		}
+		clLens[codeLengthOrder[i]] = uint8(v)
+	}
+	if err := f.codeLen.build(clLens[:]); err != nil {
+		return err
+	}
+	var lens [286 + numDistSym]uint8
+	n := nLit + nDist
+	for i := 0; i < n; {
+		f.br.Refill()
+		sym := f.codeLen.decode(f.br)
+		if sym < 0 {
+			return f.codeLen.err(f.br)
+		}
+		if sym < 16 {
+			lens[i] = uint8(sym)
+			i++
+			continue
+		}
+		var prev uint8
+		extra, rep := uint(7), 11 // symbol 18: 11-138 zeros
+		switch sym {
+		case 16: // 3-6 copies of the previous length
+			if i == 0 {
+				return fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
+			}
+			prev, extra, rep = lens[i-1], 2, 3
+		case 17: // 3-10 zeros
+			extra, rep = 3, 3
+		}
+		v, err := f.br.ReadBits(extra)
+		if err != nil {
+			return err
+		}
+		rep += int(v)
+		if i+rep > n {
+			return fmt.Errorf("%w: code length repeat overflow", ErrCorrupt)
+		}
+		for ; rep > 0; rep-- {
+			lens[i] = prev
+			i++
+		}
+	}
+	if err := f.dynLit.build(lens[:nLit]); err != nil {
+		return err
+	}
+	if err := f.dynDist.build(lens[nLit:n]); err != nil && !errors.Is(err, errEmptyCode) {
+		return err
+	}
+	return nil
+}
+
+// storedBytes copies a stored block's bytes to out, up to stop.
+func (f *inflater) storedBytes(out []byte, stop int) ([]byte, error) {
+	if len(out)+f.stored > f.maxOut {
+		return out, errOutputLimit(f.lim)
+	}
+	at := len(out)
+	n := min(f.stored, stop-at)
+	out = slices.Grow(out, n)[:at+n]
+	if err := f.br.ReadBytes(out[at:]); err != nil {
+		return out[:at], err
+	}
+	if f.record {
+		for _, b := range out[at:] {
+			f.cmds = append(f.cmds, token.Lit(b))
+		}
+	}
+	if f.stored -= n; f.stored == 0 {
+		f.endBlock()
+	}
+	return out, nil
+}
+
+// copyBits is the most bits a match takes after its length code: the
+// length's extra bits, a distance code and the distance's extra bits.
+// symbols refills before a literal/length code and again, if fewer bits
+// than this remain, before the rest of a match.
+const copyBits = 5 + maxCodeLen + 13
+
+// symbols decodes a Huffman block's literals and matches into out
+// until the end-of-block symbol or until len(out) reaches stop. A match
+// starting before stop may end up to token.MaxMatch-1 bytes past it.
+func (f *inflater) symbols(out []byte, stop int) ([]byte, error) {
+	br, lit, dist, record, maxOut := f.br, f.lit, f.dist, f.record, f.maxOut
+	for len(out) < stop {
+		if br.Buffered() < maxCodeLen {
+			br.Refill()
+		}
+		sym := lit.decode(br)
+		if sym < 0 {
+			return out, lit.err(br)
+		}
+		if sym < 256 {
+			if len(out) >= maxOut {
+				return out, errOutputLimit(f.lim)
+			}
+			out = append(out, byte(sym))
+			if record {
+				f.cmds = append(f.cmds, token.Lit(byte(sym)))
+			}
+			continue
+		}
+		if sym == endOfBlock {
+			f.endBlock()
+			return out, nil
+		}
+		if sym > maxLitLen {
+			return out, fmt.Errorf("%w: literal/length symbol %d", ErrCorrupt, sym)
+		}
+		if br.Buffered() < copyBits {
+			br.Refill()
+		}
+		n := uint(lengthExtra[sym-257])
+		if n > br.Buffered() {
+			return out, br.Short()
+		}
+		length := int(lengthBase[sym-257]) + int(br.Peek()&(1<<n-1))
+		br.Consume(n)
+		dsym := dist.decode(br)
+		if dsym < 0 {
+			return out, dist.err(br)
+		}
+		if dsym >= numDistSym {
+			return out, fmt.Errorf("%w: distance symbol %d", ErrCorrupt, dsym)
+		}
+		if n = uint(distExtra[dsym]); n > br.Buffered() {
+			return out, br.Short()
+		}
+		d := int(distBase[dsym]) + int(br.Peek()&(1<<n-1))
+		br.Consume(n)
+		if d > len(out) {
+			return out, fmt.Errorf("%w: distance %d exceeds output %d", ErrCorrupt, d, len(out))
+		}
+		if len(out)+length > maxOut {
+			return out, errOutputLimit(f.lim)
+		}
+		out = appendCopy(out, d, length)
+		if record {
+			f.cmds = append(f.cmds, token.Copy(d, length))
+		}
+	}
+	return out, nil
+}
+
+// appendCopy appends the length bytes that start d bytes before the end
+// of out. With d >= 8 and spare capacity it moves eight bytes at a
+// time, each word read from bytes already final, and may scribble up to
+// seven bytes past the new end. Otherwise the copy may overlap its own
+// output, so it goes in runs of at most the bytes copied so far.
+func appendCopy(out []byte, d, length int) []byte {
+	n := len(out)
+	end := n + length
+	out = slices.Grow(out, length)[:end]
+	src := n - d
+	if d >= 8 && end+8 <= cap(out) {
+		w := out[:end+8]
+		for dst := n; dst < end; dst, src = dst+8, src+8 {
+			binary.LittleEndian.PutUint64(w[dst:], binary.LittleEndian.Uint64(w[src:]))
+		}
+		return out
+	}
+	for dst := n; dst < end; {
+		dst += copy(out[dst:end], out[src:dst])
+	}
+	return out
+}
+
 // Inflate decodes a complete raw Deflate stream under
 // DefaultDecodeLimits; use InflateLimited to choose the bounds.
 func Inflate(data []byte) ([]byte, error) {
 	return InflateLimited(data, DefaultDecodeLimits())
-}
-
-func inflateStored(br *bitio.Reader, out []byte, lim DecodeLimits) ([]byte, error) {
-	br.AlignByte()
-	n, err := br.ReadBits(16)
-	if err != nil {
-		return nil, err
-	}
-	nlen, err := br.ReadBits(16)
-	if err != nil {
-		return nil, err
-	}
-	if n != ^nlen&0xFFFF {
-		return nil, fmt.Errorf("%w: stored length check", ErrCorrupt)
-	}
-	if lim.MaxOutputBytes > 0 && len(out)+int(n) > lim.MaxOutputBytes {
-		return nil, errOutputLimit(lim)
-	}
-	chunk := make([]byte, n)
-	if err := br.ReadBytes(chunk); err != nil {
-		return nil, err
-	}
-	return append(out, chunk...), nil
-}
-
-func inflateCompressed(br *bitio.Reader, out []byte, lit, dist *huffDec, lim DecodeLimits) ([]byte, error) {
-	for {
-		sym, err := lit.decode(br)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case sym < 256:
-			if lim.MaxOutputBytes > 0 && len(out) >= lim.MaxOutputBytes {
-				return nil, errOutputLimit(lim)
-			}
-			out = append(out, byte(sym))
-		case sym == endOfBlock:
-			return out, nil
-		case sym <= maxLitLen:
-			i := sym - 257
-			length := int(lengthBase[i])
-			if lengthExtra[i] > 0 {
-				e, err := br.ReadBits(uint(lengthExtra[i]))
-				if err != nil {
-					return nil, err
-				}
-				length += int(e)
-			}
-			dsym, err := dist.decode(br)
-			if err != nil {
-				return nil, err
-			}
-			if dsym >= numDistSym {
-				return nil, fmt.Errorf("%w: distance symbol %d", ErrCorrupt, dsym)
-			}
-			d := int(distBase[dsym])
-			if distExtra[dsym] > 0 {
-				e, err := br.ReadBits(uint(distExtra[dsym]))
-				if err != nil {
-					return nil, err
-				}
-				d += int(e)
-			}
-			if d > len(out) {
-				return nil, fmt.Errorf("%w: distance %d exceeds output %d", ErrCorrupt, d, len(out))
-			}
-			if lim.MaxOutputBytes > 0 && len(out)+length > lim.MaxOutputBytes {
-				return nil, errOutputLimit(lim)
-			}
-			src := len(out) - d
-			for j := 0; j < length; j++ {
-				out = append(out, out[src+j])
-			}
-		default:
-			return nil, fmt.Errorf("%w: literal/length symbol %d", ErrCorrupt, sym)
-		}
-	}
-}
-
-func readDynamicHeader(br *bitio.Reader) (lit, dist *huffDec, err error) {
-	hlit, err := br.ReadBits(5)
-	if err != nil {
-		return nil, nil, err
-	}
-	hdist, err := br.ReadBits(5)
-	if err != nil {
-		return nil, nil, err
-	}
-	hclen, err := br.ReadBits(4)
-	if err != nil {
-		return nil, nil, err
-	}
-	nLit, nDist, nCl := int(hlit)+257, int(hdist)+1, int(hclen)+4
-	if nLit > 286 || nDist > numDistSym {
-		return nil, nil, fmt.Errorf("%w: dynamic header counts", ErrCorrupt)
-	}
-	clLens := make([]uint8, 19)
-	for i := 0; i < nCl; i++ {
-		v, err := br.ReadBits(3)
-		if err != nil {
-			return nil, nil, err
-		}
-		clLens[codeLengthOrder[i]] = uint8(v)
-	}
-	clDec, err := newHuffDec(clLens)
-	if err != nil {
-		return nil, nil, err
-	}
-	lens := make([]uint8, nLit+nDist)
-	for i := 0; i < len(lens); {
-		sym, err := clDec.decode(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case sym < 16:
-			lens[i] = uint8(sym)
-			i++
-		case sym == 16:
-			if i == 0 {
-				return nil, nil, fmt.Errorf("%w: repeat with no previous length", ErrCorrupt)
-			}
-			n, err := br.ReadBits(2)
-			if err != nil {
-				return nil, nil, err
-			}
-			prev := lens[i-1]
-			for j := 0; j < int(n)+3; j++ {
-				if i >= len(lens) {
-					return nil, nil, fmt.Errorf("%w: repeat overflow", ErrCorrupt)
-				}
-				lens[i] = prev
-				i++
-			}
-		case sym == 17, sym == 18:
-			bitsN, base := uint(3), 3
-			if sym == 18 {
-				bitsN, base = 7, 11
-			}
-			n, err := br.ReadBits(bitsN)
-			if err != nil {
-				return nil, nil, err
-			}
-			for j := 0; j < int(n)+base; j++ {
-				if i >= len(lens) {
-					return nil, nil, fmt.Errorf("%w: zero-repeat overflow", ErrCorrupt)
-				}
-				lens[i] = 0
-				i++
-			}
-		default:
-			return nil, nil, fmt.Errorf("%w: code length symbol %d", ErrCorrupt, sym)
-		}
-	}
-	lit, err = newHuffDec(lens[:nLit])
-	if err != nil {
-		return nil, nil, err
-	}
-	dist, err = newHuffDec(lens[nLit:])
-	if err != nil {
-		return nil, nil, err
-	}
-	return lit, dist, nil
 }
 
 // ZlibDecompress parses an RFC 1950 container, inflates the body and

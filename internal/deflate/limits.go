@@ -1,7 +1,6 @@
 package deflate
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -68,49 +67,7 @@ func InflateLimited(data []byte, lim DecodeLimits) (out []byte, err error) {
 			out, err = nil, fmt.Errorf("%w: panic during decode: %v", ErrCorrupt, r)
 		}
 	}()
-	return inflateBlocks(bitio.NewReader(bytes.NewReader(data)), nil, lim)
-}
-
-// inflateBlocks is the shared block loop: decode until the final block,
-// appending to out (which may be pre-seeded with preset-dictionary
-// history — the limit accounting and match distances then measure the
-// seeded slice, so callers adjust MaxOutputBytes by the seed length).
-func inflateBlocks(br *bitio.Reader, out []byte, lim DecodeLimits) ([]byte, error) {
-	blocks := 0
-	for {
-		if lim.MaxBlocks > 0 && blocks >= lim.MaxBlocks {
-			return nil, fmt.Errorf("%w: %w: more than %d blocks", ErrCorrupt, ErrLimit, lim.MaxBlocks)
-		}
-		blocks++
-		final, err := br.ReadBool()
-		if err != nil {
-			return nil, normEOF(err)
-		}
-		btype, err := br.ReadBits(2)
-		if err != nil {
-			return nil, normEOF(err)
-		}
-		switch btype {
-		case 0:
-			out, err = inflateStored(br, out, lim)
-		case 1:
-			out, err = inflateCompressed(br, out, fixedLitDec, fixedDistDec, lim)
-		case 2:
-			var lit, dist *huffDec
-			lit, dist, err = readDynamicHeader(br)
-			if err == nil {
-				out, err = inflateCompressed(br, out, lit, dist, lim)
-			}
-		default:
-			return nil, fmt.Errorf("%w: reserved block type", ErrCorrupt)
-		}
-		if err != nil {
-			return nil, normEOF(err)
-		}
-		if final {
-			return out, nil
-		}
-	}
+	return inflateAll(data, nil, lim)
 }
 
 // ZlibDecompressLimited parses an RFC 1950 container under lim,
@@ -182,14 +139,9 @@ func ZlibDecompressDictLimited(data, dict []byte, lim DecodeLimits) (out []byte,
 	if len(hist) > 32768 {
 		hist = hist[len(hist)-32768:]
 	}
-	if lim.MaxOutputBytes > 0 {
-		lim.MaxOutputBytes += len(hist)
-	}
-	seed := append(make([]byte, 0, len(hist)+1024), hist...)
-	body := data[6 : len(data)-4]
-	full, err := inflateBlocks(bitio.NewReader(bytes.NewReader(body)), seed, lim)
+	full, err := inflateAll(data[6:len(data)-4], hist, lim)
 	if err != nil {
-		return nil, normEOF(err)
+		return nil, err
 	}
 	out = full[len(hist):]
 	tr := data[len(data)-4:]
@@ -198,4 +150,11 @@ func ZlibDecompressDictLimited(data, dict []byte, lim DecodeLimits) (out []byte,
 		return nil, fmt.Errorf("%w: adler32 %08x != %08x", ErrCorrupt, got, want)
 	}
 	return out, nil
+}
+
+// ZlibDecompressDict decodes a preset-dictionary zlib stream, verifying
+// DICTID against the supplied dictionary, under DefaultDecodeLimits;
+// use ZlibDecompressDictLimited to choose the bounds.
+func ZlibDecompressDict(data, dict []byte) ([]byte, error) {
+	return ZlibDecompressDictLimited(data, dict, DefaultDecodeLimits())
 }

@@ -199,193 +199,50 @@ func (zw *Writer) Close() error {
 }
 
 // StreamInflater is an incremental raw-Deflate decoder implementing
-// io.Reader. It keeps the 32 KB history window needed to resolve
-// back-references across Read calls.
+// io.Reader. It runs the inflate core in chunks into a window that
+// keeps the 32 KiB of history back-references may reach, and serves
+// Read calls from the window.
 type StreamInflater struct {
-	br   *bitio.Reader
-	hist [32768]byte
-	hpos int
-	hlen int
-
-	lit, dist *huffDec
-	inBlock   bool
-	stored    int  // remaining stored-block bytes (when storedMode)
-	storedMod bool // current block is stored
-	finalBlk  bool
-	done      bool
-
-	// In-flight copy when a match straddles a Read boundary.
-	copyLen  int
-	copyDist int
-
+	f   *inflater
+	win []byte // history, then decoded bytes not yet read
+	pos int    // win[pos:] is unread
 	err error
 }
 
+// streamHistory is how much output the window keeps once read: the
+// longest Deflate match distance. Each chunk decodes until the window
+// holds twice that.
+const streamHistory = 32768
+
 // NewStreamInflater decodes the raw Deflate stream from r.
 func NewStreamInflater(r io.Reader) *StreamInflater {
-	return &StreamInflater{br: bitio.NewReader(r)}
-}
-
-func (d *StreamInflater) record(b byte) {
-	d.hist[d.hpos] = b
-	d.hpos = (d.hpos + 1) & 32767
-	if d.hlen < 32768 {
-		d.hlen++
+	return &StreamInflater{
+		f: newInflater(bitio.NewReader(r), DecodeLimits{}, 0),
+		// Room for the match that crosses the chunk's end, and the
+		// word copies' slack past it.
+		win: make([]byte, 0, 2*streamHistory+token.MaxMatch+8),
 	}
 }
 
 // Read implements io.Reader.
 func (d *StreamInflater) Read(p []byte) (int, error) {
-	if d.err != nil {
-		return 0, d.err
-	}
-	n := 0
-	for n < len(p) {
-		if d.copyLen > 0 {
-			src := (d.hpos - d.copyDist + 65536) & 32767
-			b := d.hist[src]
-			d.record(b)
-			p[n] = b
-			n++
-			d.copyLen--
-			continue
+	for d.pos == len(d.win) {
+		if d.err != nil {
+			return 0, d.err
 		}
-		if d.done {
+		if d.f.state == stateDone {
 			d.err = io.EOF
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
-		}
-		if !d.inBlock {
-			if err := d.beginBlock(); err != nil {
-				d.err = normEOF(err)
-				return n, d.err
-			}
 			continue
 		}
-		if d.storedMod {
-			if d.stored == 0 {
-				d.endBlock()
-				continue
-			}
-			v, err := d.br.ReadBits(8)
-			if err != nil {
-				d.err = normEOF(err)
-				return n, d.err
-			}
-			b := byte(v)
-			d.record(b)
-			p[n] = b
-			n++
-			d.stored--
-			continue
+		if k := len(d.win) - streamHistory; k > 0 {
+			copy(d.win, d.win[k:])
+			d.win, d.pos = d.win[:streamHistory], streamHistory
 		}
-		sym, err := d.lit.decode(d.br)
-		if err != nil {
-			d.err = normEOF(err)
-			return n, d.err
-		}
-		switch {
-		case sym < 256:
-			b := byte(sym)
-			d.record(b)
-			p[n] = b
-			n++
-		case sym == endOfBlock:
-			d.endBlock()
-		case sym <= maxLitLen:
-			if err := d.startCopy(sym); err != nil {
-				d.err = normEOF(err)
-				return n, d.err
-			}
-		default:
-			d.err = fmt.Errorf("%w: literal/length symbol %d", ErrCorrupt, sym)
-			return n, d.err
-		}
+		d.win, d.err = d.f.inflate(d.win, 2*streamHistory)
 	}
+	n := copy(p, d.win[d.pos:])
+	d.pos += n
 	return n, nil
-}
-
-func (d *StreamInflater) beginBlock() error {
-	final, err := d.br.ReadBool()
-	if err != nil {
-		return err
-	}
-	btype, err := d.br.ReadBits(2)
-	if err != nil {
-		return err
-	}
-	d.finalBlk = final
-	d.inBlock = true
-	d.storedMod = false
-	switch btype {
-	case 0:
-		d.br.AlignByte()
-		ln, err := d.br.ReadBits(16)
-		if err != nil {
-			return err
-		}
-		nlen, err := d.br.ReadBits(16)
-		if err != nil {
-			return err
-		}
-		if ln != ^nlen&0xFFFF {
-			return fmt.Errorf("%w: stored length check", ErrCorrupt)
-		}
-		d.storedMod = true
-		d.stored = int(ln)
-	case 1:
-		d.lit, d.dist = fixedLitDec, fixedDistDec
-	case 2:
-		lit, dist, err := readDynamicHeader(d.br)
-		if err != nil {
-			return err
-		}
-		d.lit, d.dist = lit, dist
-	default:
-		return fmt.Errorf("%w: reserved block type", ErrCorrupt)
-	}
-	return nil
-}
-
-func (d *StreamInflater) endBlock() {
-	d.inBlock = false
-	if d.finalBlk {
-		d.done = true
-	}
-}
-
-func (d *StreamInflater) startCopy(sym int) error {
-	i := sym - 257
-	length := int(lengthBase[i])
-	if lengthExtra[i] > 0 {
-		e, err := d.br.ReadBits(uint(lengthExtra[i]))
-		if err != nil {
-			return err
-		}
-		length += int(e)
-	}
-	dsym, err := d.dist.decode(d.br)
-	if err != nil {
-		return err
-	}
-	if dsym >= numDistSym {
-		return fmt.Errorf("%w: distance symbol %d", ErrCorrupt, dsym)
-	}
-	dist := int(distBase[dsym])
-	if distExtra[dsym] > 0 {
-		e, err := d.br.ReadBits(uint(distExtra[dsym]))
-		if err != nil {
-			return err
-		}
-		dist += int(e)
-	}
-	if dist > d.hlen {
-		return fmt.Errorf("%w: distance %d exceeds history %d", ErrCorrupt, dist, d.hlen)
-	}
-	d.copyLen, d.copyDist = length, dist
-	return nil
 }
 
 // Reader is the streaming zlib (RFC 1950) decompressor: header check,
@@ -401,11 +258,11 @@ type Reader struct {
 // decompressor for the body.
 func NewReader(r io.Reader) (*Reader, error) {
 	d := NewStreamInflater(r)
-	cmf, err := d.br.ReadBits(8)
+	cmf, err := d.f.br.ReadBits(8)
 	if err != nil {
 		return nil, normEOF(err)
 	}
-	flg, err := d.br.ReadBits(8)
+	flg, err := d.f.br.ReadBits(8)
 	if err != nil {
 		return nil, normEOF(err)
 	}
@@ -443,10 +300,10 @@ func (zr *Reader) Read(p []byte) (int, error) {
 }
 
 func (zr *Reader) checkTrailer() error {
-	zr.d.br.AlignByte()
+	zr.d.f.br.AlignByte()
 	var want uint32
 	for i := 0; i < 4; i++ {
-		v, err := zr.d.br.ReadBits(8)
+		v, err := zr.d.f.br.ReadBits(8)
 		if err != nil {
 			return fmt.Errorf("%w: truncated adler trailer: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}

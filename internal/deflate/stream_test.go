@@ -299,36 +299,6 @@ func BenchmarkStreamingWriter(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamingReader(b *testing.B) {
-	data := []byte(strings.Repeat("streaming reader benchmark data ", 2048))[:65536]
-	var buf bytes.Buffer
-	zw, err := NewWriter(&buf, lzss.HWSpeedParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	zw.Write(data)
-	zw.Close()
-	z := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	out := make([]byte, 8192)
-	for i := 0; i < b.N; i++ {
-		zr, err := NewReader(bytes.NewReader(z))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			_, err := zr.Read(out)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func TestWriterSyncFlush(t *testing.T) {
 	var buf bytes.Buffer
 	zw, err := NewWriter(&buf, lzss.HWSpeedParams())
