@@ -29,6 +29,26 @@ func goldenStream(data []byte, p Params) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// goldenSyncStream is goldenStream with a sync flush after every write.
+func goldenSyncStream(data []byte, p Params) ([]byte, error) {
+	const chunk = 64 << 10
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, p)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < len(data); i += chunk {
+		if _, err := w.Write(data[i:min(i+chunk, len(data))]); err != nil {
+			return nil, err
+		}
+		if err := w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	err = w.Close()
+	return buf.Bytes(), err
+}
+
 // Golden digests pin the exact output bytes of the compression paths
 // for fixed corpora. The format is deterministic by design (no
 // timestamps, no map iteration, no randomness), so any digest change
@@ -40,7 +60,10 @@ func goldenStream(data []byte, p Params) ([]byte, error) {
 // dictionary), so a change to how a front end drives the matcher shows
 // up here even when the one-shot rows stay put. The resilient and sink
 // rows pin the hardened and streaming parallel paths to the parallel
-// rows' bytes.
+// rows' bytes. The split, dict, gzip and sync-flush stream rows pin the
+// remaining encoder policies: adaptive block splitting (Mixed keeps
+// several blocks), the serial preset-dictionary path, the gzip
+// container, and BestDeflate's stored branch (Random).
 func TestGoldenOutputs(t *testing.T) {
 	type golden struct {
 		name string
@@ -81,6 +104,14 @@ func TestGoldenOutputs(t *testing.T) {
 		{"can", workload.CAN, 200000, "sink", hw, 107784, "ff0ff6bc25fff702"},
 		{"wiki", workload.Wiki, 200000, "sink", fast, 85617, "b165a8c3c482539f"},
 		{"can", workload.CAN, 200000, "sink", fast, 108999, "3358d60dc182047d"},
+		{"wiki", workload.Wiki, 200000, "split", hw, 88190, "e0aef3e7ae37fb69"},
+		{"can", workload.CAN, 200000, "split", hw, 107366, "841cbe18cc4b7407"},
+		{"mixed", workload.Mixed, 200000, "split", hw, 75240, "759aab3beb4542dd"},
+		{"wiki", workload.Wiki, 200000, "dict", hw, 116252, "43b1f674cc4658f6"},
+		{"can", workload.CAN, 200000, "dict", hw, 123693, "79aba922454c63a4"},
+		{"wiki", workload.Wiki, 200000, "gzip", hw, 88202, "b6f185fb0b9c4057"},
+		{"random", workload.Random, 200000, "best", hw, 200026, "785d39a38b85230b"},
+		{"wiki", workload.Wiki, 200000, "syncstream", hw, 88368, "2264a33475d72766"},
 	}
 	parallel := func(data []byte, p Params, o ParallelOpts) ([]byte, error) {
 		o.Segment, o.Workers = 64<<10, 2
@@ -98,6 +129,17 @@ func TestGoldenOutputs(t *testing.T) {
 			z, err = CompressBest(data, c.p)
 		case "stream":
 			z, err = goldenStream(data, c.p)
+		case "syncstream":
+			z, err = goldenSyncStream(data, c.p)
+		case "split":
+			z, err = CompressSplit(data, c.p)
+		case "dict":
+			var d []byte
+			if d, err = dict.Builtin(c.name); err == nil {
+				z, err = CompressDict(data, d, c.p)
+			}
+		case "gzip":
+			z, err = GzipCompress(data, c.p, "")
 		case "parallel":
 			z, err = CompressParallel(data, c.p, 64<<10, 2)
 		case "pdict":
