@@ -12,14 +12,16 @@
 # cache-key aliasing regression, the SA cluster front), a bounded fuzz
 # pass over the hardened inflate entry points (differential against
 # compress/flate), the wire-frame parser
-# and the all-levels round-trip differential,
+# and the all-levels round-trip differential through every block
+# policy (each pass with minimization bounded to 1s, so it fuzzes),
 # the observability overhead budget, and a fresh machine-readable
 # benchmark point — including the GOMAXPROCS scaling sweep and the
 # level-dial ratio table with its SA-beats-level-9 gate — gated
 # against the committed previous-PR baseline (the BENCH_*.json
-# trajectory format; see README "Performance & profiling"). Every
-# named-test gate first proves that each |-alternative of its -run
-# pattern still names a test (require_tests).
+# trajectory format; see README "Performance & profiling"). The run's
+# report goes to .bench_build/BENCH_ci.json (gitignored), so CI leaves
+# the tree clean. Every named-test gate first proves that each
+# |-alternative of its -run pattern still names a test (require_tests).
 set -eu
 
 cd "$(dirname "$0")"
@@ -176,17 +178,20 @@ for pkg in ./internal/lzss ./internal/lzss/sa; do
 	fi
 done
 
+# The fuzz passes bound minimization to 1s: at the default 60s a 10s
+# pass can spend its whole budget minimizing and fuzz nothing.
 echo "== inflate fuzz (10s) =="
-go test -run '^$' -fuzz FuzzInflate -fuzztime 10s ./internal/deflate
+go test -run '^$' -fuzz FuzzInflate -fuzztime 10s -fuzzminimizetime 1s ./internal/deflate
 
 echo "== frame parser fuzz (10s) =="
-go test -run '^$' -fuzz FuzzFrameParser -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz FuzzFrameParser -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 echo "== all-levels round-trip fuzz (10s) =="
 # The cross-matcher differential oracle: every level of the dial —
-# gen2 greedy, chain-lazy, suffix-array optimal — must round-trip any
-# input through BOTH the stdlib inflater and the hardened one.
-go test -run '^$' -fuzz FuzzRoundTripAllLevels -fuzztime 10s ./internal/deflate
+# gen2 greedy, chain-lazy, suffix-array optimal — through every block
+# policy (fixed, best of three, split) must round-trip any input
+# through BOTH the stdlib inflater and the hardened one.
+go test -run '^$' -fuzz FuzzRoundTripAllLevels -fuzztime 10s -fuzzminimizetime 1s ./internal/deflate
 
 echo "== observability overhead budget =="
 go test -run '^$' -bench ObsOverhead -benchtime 5x -count=1 .
@@ -195,31 +200,33 @@ echo "== benchmark report (scaling sweep, gated vs BENCH_pr9.json) =="
 # Also runs the hot-block serving gate (cached_hot_wiki must beat
 # uncached_zlib_wiki by >= 10x) and the level-dial ratio gate (every
 # suffix-array level must strictly beat level 9's ratio on wiki).
-go run ./cmd/lzssbench -json BENCH_pr10.json -sweep -compare BENCH_pr9.json
-cat BENCH_pr10.json
+report=.bench_build/BENCH_ci.json
+mkdir -p .bench_build
+go run ./cmd/lzssbench -json "$report" -sweep -compare BENCH_pr9.json
+cat "$report"
 
 echo "== sweep completeness guard (p4 row present) =="
 # The scaling story depends on the GOMAXPROCS=4 sweep point existing in
-# the committed trajectory; a sweep that silently skipped it (or a
-# refactor that dropped the sweep) must fail CI, not ship a hole.
-if ! grep -q '"gomaxprocs": 4' BENCH_pr10.json; then
-	echo "BENCH_pr10.json sweep section is missing the GOMAXPROCS=4 row" >&2
+# the report; a sweep that silently skipped it (or a refactor that
+# dropped the sweep) must fail CI, not ship a hole.
+if ! grep -q '"gomaxprocs": 4' "$report"; then
+	echo "$report sweep section is missing the GOMAXPROCS=4 row" >&2
 	exit 1
 fi
 
 echo "== cached serving row guard =="
-# The hot-block trajectory rows must land in the committed report.
-if ! grep -q '"cached_hot_wiki"' BENCH_pr10.json || ! grep -q '"uncached_zlib_wiki"' BENCH_pr10.json; then
-	echo "BENCH_pr10.json is missing the cached/uncached hot-block rows" >&2
+# The hot-block trajectory rows must land in the report.
+if ! grep -q '"cached_hot_wiki"' "$report" || ! grep -q '"uncached_zlib_wiki"' "$report"; then
+	echo "$report is missing the cached/uncached hot-block rows" >&2
 	exit 1
 fi
 
 echo "== level table row guard =="
-# The ratio/throughput trade-off table must land in the committed
-# report, SA endpoints included (the in-run gate already proved the
-# ratios; this guards the rows' presence in the trajectory).
-if ! grep -q '"serial_wiki_l9"' BENCH_pr10.json || ! grep -q '"serial_wiki_l12"' BENCH_pr10.json; then
-	echo "BENCH_pr10.json is missing the level-dial ratio table rows" >&2
+# The ratio/throughput trade-off table must land in the report, SA
+# endpoints included (the in-run gate already proved the ratios; this
+# guards the rows' presence in the trajectory format).
+if ! grep -q '"serial_wiki_l9"' "$report" || ! grep -q '"serial_wiki_l12"' "$report"; then
+	echo "$report is missing the level-dial ratio table rows" >&2
 	exit 1
 fi
 

@@ -16,39 +16,25 @@ import (
 	"math/bits"
 )
 
-// Writer accumulates bits and writes completed bytes to an underlying
-// io.Writer. The zero value is not usable; call NewWriter.
+// Writer packs bits into a caller-owned byte slice. Bits gather in a
+// 64-bit accumulator and move to the slice 32 at a time, the shape of
+// zlib's send_bits and compress/flate's huffmanBitWriter; the slice
+// grows by append, so a write cannot fail.
 type Writer struct {
-	w    io.Writer
+	buf  []byte // dst's bytes, then the completed output
 	acc  uint64 // pending bits, LSB-first
-	nAcc uint   // number of valid bits in acc (always < 8 after flushAcc)
-	buf  []byte // batch buffer to limit Write calls
-	err  error
-	// BitsWritten counts every bit accepted, including padding emitted
-	// by AlignByte. It is exact even after an error.
-	bitsWritten int64
+	nAcc uint   // number of valid bits in acc; below 32 between calls
 }
 
-// NewWriter returns a Writer emitting to w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, buf: make([]byte, 0, 4096)}
-}
+// NewWriter returns a Writer appending to dst.
+func NewWriter(dst []byte) *Writer { return &Writer{buf: dst} }
 
-// Reset discards all pending state and retargets the Writer at w.
-func (bw *Writer) Reset(w io.Writer) {
-	bw.w = w
-	bw.acc = 0
-	bw.nAcc = 0
-	bw.buf = bw.buf[:0]
-	bw.err = nil
-	bw.bitsWritten = 0
-}
+// Reset discards all pending state and retargets the Writer at dst.
+func (bw *Writer) Reset(dst []byte) { *bw = Writer{buf: dst} }
 
-// Err returns the first error encountered while writing, if any.
-func (bw *Writer) Err() error { return bw.err }
-
-// BitsWritten reports the total number of bits accepted so far.
-func (bw *Writer) BitsWritten() int64 { return bw.bitsWritten }
+// BitsWritten reports the bits the Writer holds: the buffer's bytes,
+// dst's included, and the pending bits.
+func (bw *Writer) BitsWritten() int64 { return 8*int64(len(bw.buf)) + int64(bw.nAcc) }
 
 // WriteBits writes the n least-significant bits of v, LSB first.
 // n must be in [0, 32].
@@ -56,64 +42,12 @@ func (bw *Writer) WriteBits(v uint32, n uint) {
 	if n > 32 {
 		panic("bitio: WriteBits count > 32")
 	}
-	if bw.err != nil {
-		return
-	}
-	if n < 32 {
-		v &= (1 << n) - 1
-	}
-	bw.acc |= uint64(v) << bw.nAcc
+	bw.acc |= uint64(v&(1<<n-1)) << bw.nAcc
 	bw.nAcc += n
-	bw.bitsWritten += int64(n)
-	for bw.nAcc >= 8 {
-		bw.buf = append(bw.buf, byte(bw.acc))
-		bw.acc >>= 8
-		bw.nAcc -= 8
-		if len(bw.buf) >= cap(bw.buf) {
-			bw.flushBuf()
-		}
-	}
-}
-
-// WriteCoded writes each byte of p as its prefix code: codes[b] holds
-// the bit-reversed (LSB-first-ready) code for byte value b, lens[b] its
-// length in bits (1..16). It is the batched form of per-symbol
-// WriteBits for literal-heavy streams — the accumulator and output
-// buffer live in locals across the whole run, and completed bytes drain
-// four at a time, instead of paying the full per-call bookkeeping for
-// every symbol.
-func (bw *Writer) WriteCoded(p []byte, codes []uint16, lens []uint8) {
-	if bw.err != nil {
-		return
-	}
-	acc, nAcc, buf := bw.acc, bw.nAcc, bw.buf
-	var written int64
-	for _, b := range p {
-		n := uint(lens[b])
-		acc |= uint64(codes[b]) << nAcc
-		nAcc += n
-		written += int64(n)
-		if nAcc >= 32 {
-			buf = append(buf, byte(acc), byte(acc>>8), byte(acc>>16), byte(acc>>24))
-			acc >>= 32
-			nAcc -= 32
-			if len(buf) >= cap(buf) {
-				bw.buf = buf
-				bw.flushBuf()
-				buf = bw.buf
-			}
-		}
-	}
-	// Restore the Writer's invariant (fewer than 8 pending bits).
-	for nAcc >= 8 {
-		buf = append(buf, byte(acc))
-		acc >>= 8
-		nAcc -= 8
-	}
-	bw.acc, bw.nAcc, bw.buf = acc, nAcc, buf
-	bw.bitsWritten += written
-	if len(bw.buf) >= cap(bw.buf) {
-		bw.flushBuf()
+	if bw.nAcc >= 32 {
+		bw.buf = binary.LittleEndian.AppendUint32(bw.buf, uint32(bw.acc))
+		bw.acc >>= 32
+		bw.nAcc -= 32
 	}
 }
 
@@ -144,35 +78,27 @@ func (bw *Writer) AlignByte() {
 // WriteBytes byte-aligns the stream and then writes p verbatim.
 func (bw *Writer) WriteBytes(p []byte) {
 	bw.AlignByte()
-	if bw.err != nil {
-		return
-	}
-	bw.bitsWritten += int64(len(p)) * 8
+	bw.settle()
 	bw.buf = append(bw.buf, p...)
-	if len(bw.buf) >= cap(bw.buf) {
-		bw.flushBuf()
-	}
 }
 
-func (bw *Writer) flushBuf() {
-	if bw.err != nil || len(bw.buf) == 0 {
-		bw.buf = bw.buf[:0]
-		return
-	}
-	_, err := bw.w.Write(bw.buf)
-	if err != nil {
-		bw.err = err
-	}
-	bw.buf = bw.buf[:0]
+// Drain returns the buffer, with every whole byte written so far, and
+// empties it; fewer than 8 bits stay pending. Later writes reuse the
+// buffer's backing array, so a caller that keeps writing must consume
+// the result first.
+func (bw *Writer) Drain() []byte {
+	bw.settle()
+	b := bw.buf
+	bw.buf = b[:0]
+	return b
 }
 
-// Flush byte-aligns the stream (padding with zeros) and pushes all
-// buffered bytes to the underlying writer. It returns the first error
-// encountered by the Writer.
-func (bw *Writer) Flush() error {
-	bw.AlignByte()
-	bw.flushBuf()
-	return bw.err
+// settle moves the whole bytes of the accumulator to the buffer.
+func (bw *Writer) settle() {
+	for ; bw.nAcc >= 8; bw.nAcc -= 8 {
+		bw.buf = append(bw.buf, byte(bw.acc))
+		bw.acc >>= 8
+	}
 }
 
 // Reverse returns the n low bits of v in reversed order.

@@ -3,38 +3,37 @@ package bitio
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// flush byte-aligns w and returns everything it wrote.
+func flush(w *Writer) []byte {
+	w.AlignByte()
+	return w.Drain()
+}
+
 func TestWriteBitsLSBFirstPacking(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	w.WriteBits(0b1, 1)   // bit 0
 	w.WriteBits(0b01, 2)  // bits 1-2
 	w.WriteBits(0b101, 3) // bits 3-5
 	w.WriteBits(0b11, 2)  // bits 6-7
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf := flush(w)
 	// byte = 1 | 01<<1 | 101<<3 | 11<<6 = 0b11101011
 	want := []byte{0b11101011}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("got %08b want %08b", buf.Bytes(), want)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("got %08b want %08b", buf, want)
 	}
 }
 
 func TestWriteBitsMasksHighBits(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	w.WriteBits(0xFFFFFFFF, 4)
 	w.WriteBits(0, 4)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes(); len(got) != 1 || got[0] != 0x0F {
+	buf := flush(w)
+	if got := buf; len(got) != 1 || got[0] != 0x0F {
 		t.Fatalf("got %x want 0f", got)
 	}
 }
@@ -74,50 +73,41 @@ func TestReverseInvolution(t *testing.T) {
 }
 
 func TestWriteBitsRevMatchesManualReverse(t *testing.T) {
-	var a, b bytes.Buffer
-	wa, wb := NewWriter(&a), NewWriter(&b)
+	wa, wb := NewWriter(nil), NewWriter(nil)
 	wa.WriteBitsRev(0b1101, 4)
 	wb.WriteBits(0b1011, 4)
-	wa.Flush()
-	wb.Flush()
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rev mismatch: %x vs %x", a.Bytes(), b.Bytes())
+	a, b := flush(wa), flush(wb)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("rev mismatch: %x vs %x", a, b)
 	}
 }
 
 func TestAlignByteIdempotent(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	w.WriteBits(0b1, 1)
 	w.AlignByte()
 	w.AlignByte()
 	w.WriteBits(0xAB, 8)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf := flush(w)
 	want := []byte{0x01, 0xAB}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("got %x want %x", buf.Bytes(), want)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("got %x want %x", buf, want)
 	}
 }
 
 func TestWriteBytesAligns(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	w.WriteBits(1, 3)
 	w.WriteBytes([]byte{0xDE, 0xAD})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf := flush(w)
 	want := []byte{0x01, 0xDE, 0xAD}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("got %x want %x", buf.Bytes(), want)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("got %x want %x", buf, want)
 	}
 }
 
 func TestBitsWrittenCountsPadding(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	w.WriteBits(1, 3)
 	w.AlignByte()
 	if got := w.BitsWritten(); got != 8 {
@@ -141,17 +131,14 @@ func TestRoundTripRandomFields(t *testing.T) {
 			}
 			fields = append(fields, field{v, n})
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewWriter(nil)
 		for _, f := range fields {
 			w.WriteBits(f.v, f.n)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		buf := flush(w)
 		// The same fields through both sources: an io.Reader and, in
 		// place, the byte slice.
-		for _, r := range []*Reader{NewReaderBytes(buf.Bytes()), NewReader(&buf)} {
+		for _, r := range []*Reader{NewReaderBytes(buf), NewReader(bytes.NewReader(buf))} {
 			for i, f := range fields {
 				got, err := r.ReadBits(f.n)
 				if err != nil {
@@ -166,15 +153,12 @@ func TestRoundTripRandomFields(t *testing.T) {
 }
 
 func TestRoundTripWithAlignment(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	w.WriteBits(0b101, 3)
 	w.WriteBytes([]byte{1, 2, 3})
 	w.WriteBits(0x7FFF, 15)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
+	buf := flush(w)
+	r := NewReader(bytes.NewReader(buf))
 	if v, _ := r.ReadBits(3); v != 0b101 {
 		t.Fatalf("field 1: %b", v)
 	}
@@ -207,51 +191,17 @@ func TestReaderPartialThenEOF(t *testing.T) {
 	}
 }
 
-// errWriter fails after n bytes.
-type errWriter struct{ n int }
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.n <= 0 {
-		return 0, io.ErrClosedPipe
-	}
-	if len(p) > e.n {
-		p = p[:e.n]
-	}
-	e.n -= len(p)
-	if e.n == 0 {
-		return len(p), io.ErrClosedPipe
-	}
-	return len(p), nil
-}
-
-func TestWriterPropagatesError(t *testing.T) {
-	w := NewWriter(&errWriter{n: 2})
-	for i := 0; i < 10000; i++ {
-		w.WriteBits(0xAA, 8)
-	}
-	if err := w.Flush(); err == nil {
-		t.Fatal("expected error from underlying writer")
-	}
-	if w.Err() == nil {
-		t.Fatal("Err() should be sticky")
-	}
-}
-
 func TestWriterReset(t *testing.T) {
-	var a, b bytes.Buffer
-	w := NewWriter(&a)
+	w := NewWriter(nil)
 	w.WriteBits(0x3, 5)
-	w.Flush()
-	w.Reset(&b)
+	flush(w)
+	w.Reset(nil)
 	w.WriteBits(0xAB, 8)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Bytes(); len(got) != 1 || got[0] != 0xAB {
-		t.Fatalf("after reset got %x", got)
-	}
 	if w.BitsWritten() != 8 {
 		t.Fatalf("BitsWritten after reset = %d", w.BitsWritten())
+	}
+	if got := flush(w); len(got) != 1 || got[0] != 0xAB {
+		t.Fatalf("after reset got %x", got)
 	}
 }
 
@@ -267,15 +217,11 @@ func TestReaderBitsRead(t *testing.T) {
 
 func TestQuickRoundTrip32(t *testing.T) {
 	f := func(vals []uint32) bool {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewWriter(nil)
 		for _, v := range vals {
 			w.WriteBits(v, 32)
 		}
-		if w.Flush() != nil {
-			return false
-		}
-		r := NewReader(&buf)
+		r := NewReader(bytes.NewReader(flush(w)))
 		for _, v := range vals {
 			got, err := r.ReadBits(32)
 			if err != nil || got != v {
@@ -290,37 +236,33 @@ func TestQuickRoundTrip32(t *testing.T) {
 }
 
 func TestWriteZeroBitsNoOp(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	w.WriteBits(0xFFFF, 0)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("zero-bit write produced output: %x", buf.Bytes())
+	buf := flush(w)
+	if len(buf) != 0 {
+		t.Fatalf("zero-bit write produced output: %x", buf)
 	}
 }
 
 func BenchmarkWriterWriteBits(b *testing.B) {
-	w := NewWriter(io.Discard)
+	w := NewWriter(make([]byte, 0, 4096))
 	b.SetBytes(4)
 	for i := 0; i < b.N; i++ {
 		w.WriteBits(uint32(i), 32)
+		if i%1024 == 1023 {
+			w.Drain()
+		}
 	}
-	w.Flush()
 }
 
 func TestWriteReadBool(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	pattern := []bool{true, false, true, true, false, false, true, false, true}
 	for _, b := range pattern {
 		w.WriteBool(b)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
+	buf := flush(w)
+	r := NewReader(bytes.NewReader(buf))
 	for i, want := range pattern {
 		got, err := r.ReadBool()
 		if err != nil || got != want {

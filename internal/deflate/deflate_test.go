@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lzssfpga/internal/bitio"
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/token"
 )
@@ -94,7 +95,7 @@ func TestDistCodeCoversRange(t *testing.T) {
 }
 
 func TestFixedCodesMatchRFC(t *testing.T) {
-	codes := canonicalCodes(fixedLitLenLengths())
+	codes := canonicalCodesInto(nil, fixedLitLenLengths())
 	// RFC 1951 §3.2.6 anchor values.
 	if codes[0] != 0x30 { // literal 0 → 00110000
 		t.Errorf("code[0] = %x, want 30", codes[0])
@@ -453,18 +454,12 @@ func TestCommandBitsMatchesEncoder(t *testing.T) {
 		wantBits += CommandBits(c)
 	}
 	wantBits += 7 // end-of-block symbol
-	// Compare against the encoder's actual bit count (before padding).
-	var buf bytes.Buffer
-	bw := newBitWriter(&buf)
-	e := NewEncoder(bw)
-	e.BeginBlock(true)
-	for _, c := range cmds {
-		if err := e.Encode(c); err != nil {
-			t.Fatal(err)
-		}
+	// Compare against the writer's actual bit count (before padding).
+	var w blockWriter
+	if err := w.writeBlock(cmds, nil, blockFixed, true); err != nil {
+		t.Fatal(err)
 	}
-	e.EndBlock()
-	if got := int(bw.BitsWritten()); got != wantBits {
+	if got := int(w.bw.BitsWritten()); got != wantBits {
 		t.Fatalf("encoder wrote %d bits, cost model says %d", got, wantBits)
 	}
 }
@@ -500,21 +495,6 @@ func TestQuickPipelineRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkFixedDeflate(b *testing.B) {
-	src := []byte(strings.Repeat("benchmark payload with repeats repeats ", 1600))[:65536]
-	cmds, _, err := lzss.Compress(src, lzss.HWSpeedParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := FixedDeflate(cmds); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -579,19 +559,16 @@ func TestInflateRandomGarbage(t *testing.T) {
 func TestInflateRejectsReservedSymbols(t *testing.T) {
 	// Craft a fixed-Huffman block that emits symbol 286 (reserved: the
 	// fixed tree defines its code but RFC 1951 forbids its use).
-	codes := canonicalCodes(fixedLitLenLengths())
-	var buf bytes.Buffer
-	bw := newBitWriter(&buf)
+	codes := canonicalCodesInto(nil, fixedLitLenLengths())
+	bw := bitio.NewWriter(nil)
 	bw.WriteBool(true)    // BFINAL
 	bw.WriteBits(0b01, 2) // fixed
 	bw.WriteBitsRev(uint32(codes[286]), 8)
-	bw.Flush()
-	if _, err := Inflate(buf.Bytes()); err == nil {
+	if _, err := Inflate(flushBits(bw)); err == nil {
 		t.Fatal("reserved length symbol 286 accepted")
 	}
 	// And a distance symbol >= 30 after a valid length code.
-	buf.Reset()
-	bw.Reset(&buf)
+	bw.Reset(nil)
 	bw.WriteBool(true)
 	bw.WriteBits(0b01, 2)
 	// Emit 4 literals so a match has history, then length code 257 (len 3).
@@ -601,8 +578,7 @@ func TestInflateRejectsReservedSymbols(t *testing.T) {
 	bw.WriteBitsRev(uint32(codes[257]), 7)
 	// Fixed distance codes are 5 bits; 30 = 0b11110.
 	bw.WriteBitsRev(30, 5)
-	bw.Flush()
-	if _, err := Inflate(buf.Bytes()); err == nil {
+	if _, err := Inflate(flushBits(bw)); err == nil {
 		t.Fatal("reserved distance symbol 30 accepted")
 	}
 }

@@ -1,9 +1,6 @@
 package deflate
 
 import (
-	"bytes"
-	"fmt"
-
 	"lzssfpga/internal/bitio"
 	"lzssfpga/internal/token"
 )
@@ -12,21 +9,6 @@ import (
 // compression-ratio extension the paper points at: per-block code
 // tables tailored to the symbol statistics, at the price of a
 // two-pass, stall-prone encoder that the hardware deliberately avoids.
-
-// histogram tallies the literal/length and distance symbol frequencies
-// of a command stream.
-func histogram(cmds []token.Command) (lit [numLitLenSym]int64, dist [numDistSym]int64) {
-	for _, c := range cmds {
-		if c.K == token.Literal {
-			lit[c.Lit]++
-			continue
-		}
-		lit[lenCodeFor(c.Length).sym]++
-		dist[distCodeFor(c.Distance).sym]++
-	}
-	lit[endOfBlock]++
-	return lit, dist
-}
 
 // clSymbol is one step of the code-length-code run-length encoding.
 type clSymbol struct {
@@ -96,17 +78,15 @@ func rleCodeLengthsInto(out []clSymbol, lens []uint8) []clSymbol {
 	return out
 }
 
-// dynamicPlan holds everything needed to emit one dynamic block. The
-// slices (and the trailing scratch fields) are reused across plan()
-// calls, so a long-lived plan — e.g. one held by a pooled parallel
-// worker — plans block after block without allocating.
+// dynamicPlan holds the code lengths and header layout of one dynamic
+// block. Its buffers are reused across plan() calls, so a long-lived
+// plan — e.g. one held by a pooled parallel worker — plans block after
+// block without allocating.
 type dynamicPlan struct {
-	litLens  []uint8
-	distLens []uint8
-	litCodes []uint16
-	dstCodes []uint16
-	clLens   []uint8
-	clCodes  []uint16
+	litLens  [numLitLenSym]uint8
+	distLens [numDistSym]uint8
+	clLens   [19]uint8
+	clCodes  [19]uint16 // bit-reversed into Deflate storage order
 	clSyms   []clSymbol
 	nLit     int // HLIT + 257
 	nDist    int // HDIST + 1
@@ -117,38 +97,17 @@ type dynamicPlan struct {
 	cb  codeBuilder
 }
 
-// planDynamic computes the code tables and header layout for cmds.
-func planDynamic(cmds []token.Command) *dynamicPlan {
-	p := &dynamicPlan{}
-	p.plan(cmds)
-	return p
-}
-
-// resizeU8 returns a zeroed slice of length n, reusing s's backing
-// array when large enough (codeBuilder.build requires zeroed lengths).
-func resizeU8(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// plan recomputes the code tables and header layout for cmds, reusing
-// the plan's buffers.
-func (p *dynamicPlan) plan(cmds []token.Command) {
-	litFreq, distFreq := histogram(cmds)
-	p.litLens = resizeU8(p.litLens, numLitLenSym)
-	p.cb.build(litFreq[:], p.litLens, maxCodeLen)
-	p.distLens = resizeU8(p.distLens, numDistSym)
-	p.cb.build(distFreq[:], p.distLens, maxCodeLen)
+// plan builds the code lengths and header layout for the block counted
+// in h.
+func (p *dynamicPlan) plan(h *histogram) {
+	p.litLens = [numLitLenSym]uint8{}
+	p.cb.build(h.lit[:], p.litLens[:], maxCodeLen)
+	p.distLens = [numDistSym]uint8{}
+	p.cb.build(h.dist[:], p.distLens[:], maxCodeLen)
 	// The distance code may be empty (no matches): RFC 1951 allows one
 	// zero-length entry, but a single 1-bit dummy is what zlib emits
 	// and what every decoder accepts.
-	if maxDepth(p.distLens) == 0 {
+	if maxDepth(p.distLens[:]) == 0 {
 		p.distLens[0] = 1
 	}
 	// Trim trailing zeros down to the required minimums.
@@ -168,24 +127,18 @@ func (p *dynamicPlan) plan(cmds []token.Command) {
 	for _, s := range p.clSyms {
 		clFreq[s.sym]++
 	}
-	p.clLens = resizeU8(p.clLens, 19)
-	p.cb.build(clFreq[:], p.clLens, 7)
+	p.clLens = [19]uint8{}
+	p.cb.build(clFreq[:], p.clLens[:], 7)
 	// HCLEN: trim the permuted CL length list.
 	p.nCl = 19
 	for p.nCl > 4 && p.clLens[codeLengthOrder[p.nCl-1]] == 0 {
 		p.nCl--
 	}
-	// Codes are stored pre-reversed into Deflate storage order; emit
-	// writes them with plain WriteBits.
-	p.litCodes = canonicalCodesInto(p.litCodes, p.litLens)
-	reverseCodesInPlace(p.litCodes, p.litLens)
-	p.dstCodes = canonicalCodesInto(p.dstCodes, p.distLens)
-	reverseCodesInPlace(p.dstCodes, p.distLens)
-	p.clCodes = canonicalCodesInto(p.clCodes, p.clLens)
-	reverseCodesInPlace(p.clCodes, p.clLens)
+	reverseCodesInPlace(canonicalCodesInto(p.clCodes[:0], p.clLens[:]), p.clLens[:])
 }
 
-// headerBits returns the encoded size of the dynamic header.
+// headerBits returns the encoded size of the dynamic header that
+// writeHeader writes.
 func (p *dynamicPlan) headerBits() int {
 	n := 5 + 5 + 4 + 3*p.nCl
 	for _, s := range p.clSyms {
@@ -194,25 +147,9 @@ func (p *dynamicPlan) headerBits() int {
 	return n
 }
 
-// bodyBits returns the encoded size of the symbols (incl. end-of-block).
-func (p *dynamicPlan) bodyBits(cmds []token.Command) int {
-	n := int(p.litLens[endOfBlock])
-	for _, c := range cmds {
-		if c.K == token.Literal {
-			n += int(p.litLens[c.Lit])
-			continue
-		}
-		lc := lenCodeFor(c.Length)
-		dc := distCodeFor(c.Distance)
-		n += int(p.litLens[lc.sym]) + int(lc.extra) + int(p.distLens[dc.sym]) + int(dc.extra)
-	}
-	return n
-}
-
-// emit writes the complete dynamic block (header + symbols + EOB).
-func (p *dynamicPlan) emit(bw *bitio.Writer, cmds []token.Command, final bool) error {
-	bw.WriteBool(final)
-	bw.WriteBits(0b10, 2)
+// writeHeader writes the dynamic header that follows BTYPE: the code
+// counts, the code-length code and the run-length-coded code lengths.
+func (p *dynamicPlan) writeHeader(bw *bitio.Writer) {
 	bw.WriteBits(uint32(p.nLit-257), 5)
 	bw.WriteBits(uint32(p.nDist-1), 5)
 	bw.WriteBits(uint32(p.nCl-4), 4)
@@ -225,80 +162,21 @@ func (p *dynamicPlan) emit(bw *bitio.Writer, cmds []token.Command, final bool) e
 			bw.WriteBits(s.extra, s.nbits)
 		}
 	}
-	for _, c := range cmds {
-		switch c.K {
-		case token.Literal:
-			bw.WriteBits(uint32(p.litCodes[c.Lit]), uint(p.litLens[c.Lit]))
-		case token.Match:
-			if err := c.Validate(); err != nil {
-				return err
-			}
-			lc := lenCodeFor(c.Length)
-			bw.WriteBits(uint32(p.litCodes[lc.sym]), uint(p.litLens[lc.sym]))
-			if lc.extra > 0 {
-				bw.WriteBits(uint32(c.Length)-uint32(lc.base), uint(lc.extra))
-			}
-			dc := distCodeFor(c.Distance)
-			bw.WriteBits(uint32(p.dstCodes[dc.sym]), uint(p.distLens[dc.sym]))
-			if dc.extra > 0 {
-				bw.WriteBits(uint32(c.Distance)-uint32(dc.base), uint(dc.extra))
-			}
-		default:
-			return fmt.Errorf("deflate: unknown command kind %d", c.K)
-		}
-	}
-	bw.WriteBits(uint32(p.litCodes[endOfBlock]), uint(p.litLens[endOfBlock]))
-	return bw.Err()
 }
 
 // DynamicDeflate encodes cmds as one final dynamic-Huffman block.
 func DynamicDeflate(cmds []token.Command) ([]byte, error) {
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
-	if err := planDynamic(cmds).emit(bw, cmds, true); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return deflateBlock(bodyBuf(nil, cmds), cmds, nil, blockDynamic)
 }
 
 // BestDeflate picks the cheapest representation of the block among
 // stored, fixed-Huffman and dynamic-Huffman — zlib's per-block choice.
 // src must be the bytes cmds expand to (needed for the stored option).
 func BestDeflate(cmds []token.Command, src []byte) ([]byte, error) {
-	p := planDynamic(cmds)
-	dynBits := 3 + p.headerBits() + p.bodyBits(cmds)
-	fixBits := 3 + 7 // header + EOB
-	for _, c := range cmds {
-		fixBits += CommandBits(c)
-	}
-	// Stored: 5 bytes of header per 65535-byte chunk, byte-aligned.
-	storedBits := 8 * (len(src) + 5*(len(src)/65535+1))
-	switch {
-	case storedBits < dynBits && storedBits < fixBits:
-		return StoredDeflate(src)
-	case dynBits < fixBits:
-		var buf bytes.Buffer
-		bw := bitio.NewWriter(&buf)
-		if err := p.emit(bw, cmds, true); err != nil {
-			return nil, err
-		}
-		if err := bw.Flush(); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	default:
-		return FixedDeflate(cmds)
-	}
+	return deflateBlock(bodyBuf(nil, cmds), cmds, src, anyBlock)
 }
 
 // ZlibCompressBest is ZlibCompress with per-block format selection.
 func ZlibCompressBest(cmds []token.Command, src []byte, window int) ([]byte, error) {
-	body, err := BestDeflate(cmds, src)
-	if err != nil {
-		return nil, err
-	}
-	return ZlibWrap(body, src, window)
+	return zlibBlock(cmds, src, window, anyBlock)
 }

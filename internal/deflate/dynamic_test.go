@@ -11,6 +11,7 @@ import (
 
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/token"
+	"lzssfpga/internal/workload"
 )
 
 // --- length-limited Huffman construction ---
@@ -398,32 +399,30 @@ func TestQuickDynamicRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDynamicHeaderBitsMatchEmission checks the chooser's price of each
+// block kind, header included, against the bits the writer emits for
+// that kind: the sizes SplitDeflate merges on and every caller chooses
+// by.
 func TestDynamicHeaderBitsMatchEmission(t *testing.T) {
-	src := []byte(strings.Repeat("header accounting check ", 200))
-	cmds := lzssCmds(t, src)
-	p := planDynamic(cmds)
-	var buf bytes.Buffer
-	bw := newBitWriter(&buf)
-	if err := p.emit(bw, cmds, true); err != nil {
-		t.Fatal(err)
+	inputs := map[string][]byte{
+		"empty":    nil,
+		"repeats":  []byte(strings.Repeat("header accounting check ", 200)),
+		"wiki140k": workload.Wiki(140_000, 3), // three stored chunks
 	}
-	want := 3 + p.headerBits() + p.bodyBits(cmds)
-	if got := int(bw.BitsWritten()); got != want {
-		t.Fatalf("emitted %d bits, plan predicted %d", got, want)
-	}
-}
-
-func BenchmarkDynamicDeflate(b *testing.B) {
-	src := []byte(strings.Repeat("benchmark payload with repeats repeats ", 1600))[:65536]
-	cmds, _, err := lzss.Compress(src, lzss.HWSpeedParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DynamicDeflate(cmds); err != nil {
-			b.Fatal(err)
+	for name, src := range inputs {
+		cmds := lzssCmds(t, src)
+		for _, kind := range []blockKind{blockStored, blockFixed, blockDynamic} {
+			var w blockWriter
+			got, price, err := w.choose(cmds, len(src), kind)
+			if err != nil || got != kind {
+				t.Fatalf("%s: choose(%d) = %d, %v", name, kind, got, err)
+			}
+			if err := w.writeBlock(cmds, src, kind, true); err != nil {
+				t.Fatal(err)
+			}
+			if n := int(w.bw.BitsWritten()); n != price {
+				t.Errorf("%s: kind %d emitted %d bits, chooser priced %d", name, kind, n, price)
+			}
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package deflate
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"lzssfpga/internal/bitio"
@@ -10,105 +11,259 @@ import (
 	"lzssfpga/internal/token"
 )
 
-// Encoder turns LZSS command streams into Deflate bit streams. It
-// mirrors the paper's pipelined fixed-table Huffman stage: because the
-// table is fixed, encoding is a pure per-command lookup and the stage
-// never stalls the LZSS FSM. The code tables are shared package
-// singletons stored pre-reversed, so construction is allocation-free
-// and emission needs no per-symbol bit reversal.
-type Encoder struct {
-	bw       *bitio.Writer
-	litCodes []uint16 // bit-reversed fixed codes
-	litLens  []uint8
-	dstCodes []uint16 // bit-reversed fixed codes
-	dstLens  []uint8
+// The block writer turns LZSS command streams into Deflate blocks. Its
+// fixed path mirrors the paper's pipelined fixed-table Huffman stage:
+// because the table is fixed, encoding is a pure per-command lookup and
+// the stage never stalls the LZSS FSM. Every encoder entry point is a
+// caller that names the block kinds it allows; a block that may choose
+// is counted once, priced in every allowed kind from that count, and
+// written in the cheapest.
+
+// blockKind is one Deflate block type, and a set of them is the kinds
+// a caller allows.
+type blockKind uint8
+
+const (
+	blockStored blockKind = 1 << iota
+	blockFixed
+	blockDynamic
+
+	fixedOrDynamic = blockFixed | blockDynamic
+	anyBlock       = blockStored | blockFixed | blockDynamic
+)
+
+// emitCode is one emit-table entry: the bits to write, LSB-first, and
+// how many.
+type emitCode struct {
+	bits uint32
+	n    uint32
 }
 
-// NewEncoder returns an encoder emitting to bw using the fixed tables.
-func NewEncoder(bw *bitio.Writer) *Encoder {
-	return &Encoder{
-		bw:       bw,
-		litCodes: fixedLitCodesRev,
-		litLens:  fixedLitLens,
-		dstCodes: fixedDistCodesRev,
-		dstLens:  fixedDistLens,
+// emitTable is a Huffman code laid out for the emit loop. Codes are
+// pre-reversed into Deflate storage order, and each length entry holds
+// its length code with the extra bits packed above it, so a literal
+// costs one write and a match two.
+type emitTable struct {
+	lit  [endOfBlock + 1]emitCode                      // literal bytes, then end-of-block
+	len  [token.MaxMatch - token.MinMatch + 1]emitCode // lengths 3..258
+	dist [numDistSym]emitCode
+}
+
+// fill lays out the canonical code with literal/length code lengths
+// litLens and distance code lengths distLens.
+func (t *emitTable) fill(litLens, distLens []uint8) {
+	var scratch [numLitLenSym]uint16
+	codes := canonicalCodesInto(scratch[:0], litLens)
+	reverseCodesInPlace(codes, litLens)
+	for s := range t.lit {
+		t.lit[s] = emitCode{uint32(codes[s]), uint32(litLens[s])}
+	}
+	for i := range t.len {
+		lc := lengthToCode[i]
+		n := uint32(litLens[lc.sym])
+		t.len[i] = emitCode{uint32(codes[lc.sym]) | uint32(i+token.MinMatch-int(lc.base))<<n, n + uint32(lc.extra)}
+	}
+	codes = canonicalCodesInto(scratch[:0], distLens)
+	reverseCodesInPlace(codes, distLens)
+	for s := range t.dist {
+		t.dist[s] = emitCode{uint32(codes[s]), uint32(distLens[s])}
 	}
 }
 
-// Reset retargets the encoder at bw, for pooled reuse.
-func (e *Encoder) Reset(bw *bitio.Writer) { e.bw = bw }
-
-// BeginBlock writes the block header. final marks BFINAL; the block
-// type is always fixed-Huffman (BTYPE=01).
-func (e *Encoder) BeginBlock(final bool) {
-	e.bw.WriteBool(final)
-	e.bw.WriteBits(0b01, 2)
+// inRange reports whether c is a match the Deflate tables can encode:
+// length 3..258, distance 1..32768. It is the inline form of
+// c.Validate() for a command that is not a literal.
+func inRange(c token.Command) bool {
+	return c.K == token.Match && uint(c.Length-token.MinMatch) <= token.MaxMatch-token.MinMatch &&
+		uint(c.Distance-1) < token.MaxDistance
 }
 
-// Encode writes one LZSS command as Huffman symbols.
-func (e *Encoder) Encode(c token.Command) error {
-	switch c.K {
-	case token.Literal:
-		e.putSym(int(c.Lit))
-		return nil
-	case token.Match:
-		if err := c.Validate(); err != nil {
-			return err
-		}
-		lc := lenCodeFor(c.Length)
-		e.putSym(int(lc.sym))
-		if lc.extra > 0 {
-			e.bw.WriteBits(uint32(c.Length)-uint32(lc.base), uint(lc.extra))
-		}
-		dc := distCodeFor(c.Distance)
-		e.bw.WriteBits(uint32(e.dstCodes[dc.sym]), uint(e.dstLens[dc.sym]))
-		if dc.extra > 0 {
-			e.bw.WriteBits(uint32(c.Distance)-uint32(dc.base), uint(dc.extra))
-		}
-		return nil
-	default:
-		return fmt.Errorf("deflate: unknown command kind %d", c.K)
-	}
-}
-
-// EncodeAll encodes a command slice, batching runs of consecutive
-// literals through the bit writer's coded fast path (bitio.WriteCoded).
-// Output is bit-identical to calling Encode per command; the batching
-// only removes per-symbol call and accumulator-bookkeeping overhead,
-// which dominates on literal-heavy (incompressible) streams.
-func (e *Encoder) EncodeAll(cmds []token.Command) error {
-	var lits [512]byte
-	i := 0
-	for i < len(cmds) {
-		if cmds[i].K == token.Literal {
-			n := 0
-			for i < len(cmds) && cmds[i].K == token.Literal {
-				lits[n] = cmds[i].Lit
-				n++
-				i++
-				if n == len(lits) {
-					e.bw.WriteCoded(lits[:n], e.litCodes, e.litLens)
-					n = 0
-				}
-			}
-			if n > 0 {
-				e.bw.WriteCoded(lits[:n], e.litCodes, e.litLens)
-			}
+// emit writes cmds and the end-of-block symbol in code t. It is the one
+// loop that writes Huffman symbols; a command out of the tables' range
+// stops it with c.Validate()'s error.
+func emit(bw *bitio.Writer, t *emitTable, cmds []token.Command) error {
+	for _, c := range cmds {
+		if c.K == token.Literal {
+			e := t.lit[c.Lit]
+			bw.WriteBits(e.bits, uint(e.n))
 			continue
 		}
-		if err := e.Encode(cmds[i]); err != nil {
-			return err
+		if !inRange(c) {
+			return c.Validate()
 		}
-		i++
+		e := t.len[c.Length-token.MinMatch]
+		bw.WriteBits(e.bits, uint(e.n))
+		dc := distCodeFor(c.Distance)
+		e = t.dist[dc.sym]
+		bw.WriteBits(e.bits|uint32(c.Distance-int(dc.base))<<e.n, uint(e.n)+uint(dc.extra))
 	}
+	e := t.lit[endOfBlock]
+	bw.WriteBits(e.bits, uint(e.n))
 	return nil
 }
 
-// EndBlock writes the end-of-block symbol (256).
-func (e *Encoder) EndBlock() { e.putSym(endOfBlock) }
+// histogram holds the literal/length and distance symbol frequencies of
+// one block, end-of-block included.
+type histogram struct {
+	lit  [numLitLenSym]int64
+	dist [numDistSym]int64
+}
 
-func (e *Encoder) putSym(sym int) {
-	e.bw.WriteBits(uint32(e.litCodes[sym]), uint(e.litLens[sym]))
+// count tallies cmds: the one pass a choosing caller makes over a
+// block. A command out of the tables' range stops it with
+// c.Validate()'s error.
+func (h *histogram) count(cmds []token.Command) error {
+	*h = histogram{}
+	for _, c := range cmds {
+		if c.K == token.Literal {
+			h.lit[c.Lit]++
+			continue
+		}
+		if !inRange(c) {
+			return c.Validate()
+		}
+		h.lit[lenCodeFor(c.Length).sym]++
+		h.dist[distCodeFor(c.Distance).sym]++
+	}
+	h.lit[endOfBlock]++
+	return nil
+}
+
+// bits returns the size of the counted symbols, extra bits included, in
+// the code with literal/length code lengths litLens and distance code
+// lengths distLens.
+func (h *histogram) bits(litLens, distLens []uint8) int {
+	n := 0
+	for s, f := range h.lit {
+		n += int(f) * int(litLens[s])
+	}
+	for i, extra := range lengthExtra {
+		n += int(h.lit[endOfBlock+1+i]) * int(extra)
+	}
+	for s, f := range h.dist {
+		n += int(f) * int(distLens[s]+distExtra[s])
+	}
+	return n
+}
+
+// blockWriter writes Deflate blocks into one bit stream.
+type blockWriter struct {
+	bw bitio.Writer
+	// s is the scratch of a block that chooses its kind, kept from block
+	// to block; a fixed-only writer never makes it.
+	s *blockScratch
+}
+
+// blockScratch is a block's histogram, its dynamic plan and the emit
+// table filled from that plan.
+type blockScratch struct {
+	h    histogram
+	plan dynamicPlan
+	dyn  emitTable
+}
+
+// choose counts cmds, prices each kind in kinds and returns the cheapest
+// with its size in bits, the 3-bit block header included; n is the
+// number of bytes cmds expand to. A kind displaces an earlier one of
+// fixed, dynamic, stored only when strictly smaller.
+func (w *blockWriter) choose(cmds []token.Command, n int, kinds blockKind) (blockKind, int, error) {
+	if w.s == nil {
+		w.s = new(blockScratch)
+	}
+	s := w.s
+	if err := s.h.count(cmds); err != nil {
+		return 0, 0, err
+	}
+	kind, size := blockKind(0), math.MaxInt
+	if kinds&blockFixed != 0 {
+		kind, size = blockFixed, 3+s.h.bits(fixedLitLens, fixedDistLens)
+	}
+	if kinds&blockDynamic != 0 {
+		s.plan.plan(&s.h)
+		if d := 3 + s.plan.headerBits() + s.h.bits(s.plan.litLens[:], s.plan.distLens[:]); d < size {
+			kind, size = blockDynamic, d
+		}
+	}
+	if kinds&blockStored != 0 {
+		// 5 bytes of header per 65535-byte chunk, byte-aligned.
+		if d := 8 * (n + 5*(n/65535+1)); d < size {
+			kind, size = blockStored, d
+		}
+	}
+	return kind, size, nil
+}
+
+// writeBlock writes cmds as one block of the cheapest kind in kinds. src
+// is the bytes cmds expand to; only a caller allowing stored blocks
+// needs it. A fixed-only block is written without a count.
+func (w *blockWriter) writeBlock(cmds []token.Command, src []byte, kinds blockKind, final bool) error {
+	kind := blockFixed
+	if kinds != blockFixed {
+		var err error
+		if kind, _, err = w.choose(cmds, len(src), kinds); err != nil {
+			return err
+		}
+	}
+	t := &fixedCode
+	switch kind {
+	case blockStored:
+		w.writeStored(src, final)
+		return nil
+	case blockDynamic:
+		w.bw.WriteBool(final)
+		w.bw.WriteBits(0b10, 2)
+		w.s.plan.writeHeader(&w.bw)
+		w.s.dyn.fill(w.s.plan.litLens[:], w.s.plan.distLens[:])
+		t = &w.s.dyn
+	default:
+		w.bw.WriteBool(final)
+		w.bw.WriteBits(0b01, 2)
+	}
+	return emit(&w.bw, t, cmds)
+}
+
+// writeStored writes src as stored blocks of at most 65535 bytes. An
+// empty src is one empty stored block: it byte-aligns the stream, which
+// is how a parallel segment ends and how a sync flush is marked.
+func (w *blockWriter) writeStored(src []byte, final bool) {
+	for {
+		n := min(len(src), 65535)
+		last := n == len(src)
+		w.bw.WriteBool(final && last)
+		w.bw.WriteBits(0b00, 2)
+		w.bw.AlignByte()
+		w.bw.WriteBits(uint32(n), 16)
+		w.bw.WriteBits(^uint32(n), 16)
+		w.bw.WriteBytes(src[:n])
+		if src = src[n:]; last {
+			return
+		}
+	}
+}
+
+// deflateBlock returns dst followed by cmds as one final block of the
+// cheapest kind in kinds, padded to a byte boundary. src is the bytes
+// cmds expand to; only a caller allowing stored blocks needs it.
+func deflateBlock(dst []byte, cmds []token.Command, src []byte, kinds blockKind) ([]byte, error) {
+	var w blockWriter
+	w.bw.Reset(dst)
+	if err := w.writeBlock(cmds, src, kinds, true); err != nil {
+		return nil, err
+	}
+	w.bw.AlignByte()
+	return w.bw.Drain(), nil
+}
+
+// bodyBuf returns a buffer holding prefix, with room for a Deflate body
+// of cmds: literals cost at most 9 bits plus slack for match extra
+// bits. A short estimate only costs a growth copy, never correctness.
+func bodyBuf(prefix []byte, cmds []token.Command) []byte {
+	return append(make([]byte, 0, len(prefix)+2*len(cmds)+64), prefix...)
+}
+
+// appendAdler appends the zlib trailer, src's Adler-32, to out.
+func appendAdler(out, src []byte) []byte {
+	return binary.BigEndian.AppendUint32(out, AdlerChecksum(src))
 }
 
 // CommandBits returns the encoded size of c in bits under the fixed
@@ -129,52 +284,17 @@ func CommandBits(c token.Command) int {
 // FixedDeflate encodes cmds as a single final fixed-Huffman block and
 // returns the raw Deflate stream.
 func FixedDeflate(cmds []token.Command) ([]byte, error) {
-	var buf bytes.Buffer
-	// Size hint: literals cost at most 9 bits plus slack for match extra
-	// bits; a short estimate only costs a growth copy, never correctness.
-	buf.Grow(len(cmds)*2 + 64)
-	bw := bitio.NewWriter(&buf)
-	e := NewEncoder(bw)
-	e.BeginBlock(true)
-	if err := e.EncodeAll(cmds); err != nil {
-		return nil, err
-	}
-	e.EndBlock()
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return deflateBlock(bodyBuf(nil, cmds), cmds, nil, blockFixed)
 }
 
 // StoredDeflate encodes src as stored (uncompressed) blocks — the
 // fallback for incompressible data. Each stored block holds at most
 // 65535 bytes.
 func StoredDeflate(src []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
-	rest := src
-	for {
-		chunk := rest
-		if len(chunk) > 65535 {
-			chunk = chunk[:65535]
-		}
-		rest = rest[len(chunk):]
-		final := len(rest) == 0
-		bw.WriteBool(final)
-		bw.WriteBits(0b00, 2)
-		bw.AlignByte()
-		n := uint32(len(chunk))
-		bw.WriteBits(n, 16)
-		bw.WriteBits(^n&0xFFFF, 16)
-		bw.WriteBytes(chunk)
-		if final {
-			break
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var w blockWriter
+	w.bw.Reset(make([]byte, 0, len(src)+5*(len(src)/65535+1)))
+	w.writeStored(src, true)
+	return w.bw.Drain(), nil
 }
 
 // ZlibHeader returns the two-byte RFC 1950 header for the given window
@@ -204,37 +324,29 @@ func ZlibWrap(deflateBody, src []byte, window int) ([]byte, error) {
 	out := make([]byte, 0, len(deflateBody)+6)
 	out = append(out, hdr[0], hdr[1])
 	out = append(out, deflateBody...)
-	sum := AdlerChecksum(src)
-	out = append(out, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
-	return out, nil
+	return appendAdler(out, src), nil
 }
 
 // ZlibCompress is the end-to-end path the hardware implements: an LZSS
 // command stream Huffman-coded with the fixed table inside a ZLib
 // container. src must be the bytes cmds expand to.
 func ZlibCompress(cmds []token.Command, src []byte, window int) ([]byte, error) {
-	// Encode header, body and trailer into one pre-grown buffer rather
-	// than building the body separately and copying it through ZlibWrap.
+	return zlibBlock(cmds, src, window, blockFixed)
+}
+
+// zlibBlock returns the zlib stream of cmds as one final block of the
+// cheapest kind in kinds: header, block and Adler-32 trailer in one
+// buffer.
+func zlibBlock(cmds []token.Command, src []byte, window int, kinds blockKind) ([]byte, error) {
 	hdr, err := ZlibHeader(window)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(cmds)*2 + 64)
-	buf.Write(hdr[:])
-	bw := bitio.NewWriter(&buf)
-	e := NewEncoder(bw)
-	e.BeginBlock(true)
-	if err := e.EncodeAll(cmds); err != nil {
+	out, err := deflateBlock(bodyBuf(hdr[:], cmds), cmds, src, kinds)
+	if err != nil {
 		return nil, err
 	}
-	e.EndBlock()
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	sum := AdlerChecksum(src)
-	buf.Write([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
-	return buf.Bytes(), nil
+	return appendAdler(out, src), nil
 }
 
 // zlibDictHeader returns the six-byte FDICT variant of the RFC 1950
@@ -266,17 +378,13 @@ func ZlibCompressDict(data, dict []byte, p lzss.Params) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := FixedDeflate(cmds)
-	if err != nil {
-		return nil, err
-	}
 	hdr, err := zlibDictHeader(p.Window, AdlerChecksum(dict))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(body)+10)
-	out = append(out, hdr[:]...)
-	out = append(out, body...)
-	sum := AdlerChecksum(data)
-	return append(out, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)), nil
+	out, err := deflateBlock(bodyBuf(hdr[:], cmds), cmds, nil, blockFixed)
+	if err != nil {
+		return nil, err
+	}
+	return appendAdler(out, data), nil
 }

@@ -1,7 +1,6 @@
 package deflate
 
 import (
-	"bytes"
 	"compress/zlib"
 	"context"
 	"io"
@@ -17,7 +16,11 @@ func compressPar(data []byte, p lzss.Params, o ParallelOpts) ([]byte, error) {
 	return z, err
 }
 
-func newBitWriter(buf *bytes.Buffer) *bitio.Writer { return bitio.NewWriter(buf) }
+// flushBits byte-aligns bw and returns everything it wrote.
+func flushBits(bw *bitio.Writer) []byte {
+	bw.AlignByte()
+	return bw.Drain()
+}
 
 func zlibNewReaderDict(r io.Reader, dict []byte) (io.ReadCloser, error) {
 	return zlib.NewReaderDict(r, dict)

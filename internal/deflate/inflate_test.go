@@ -21,8 +21,7 @@ import (
 // one per symbol with no runs; body then writes the block's symbols
 // with the codes of lit and dist.
 func dynamicBlock(lit, dist []uint8, clBits uint, body func(bw *bitio.Writer, lit, dist []uint16)) []byte {
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	bw := bitio.NewWriter(nil)
 	bw.WriteBool(true)
 	bw.WriteBits(2, 2)
 	bw.WriteBits(uint32(len(lit)-257), 5)
@@ -38,9 +37,8 @@ func dynamicBlock(lit, dist []uint8, clBits uint, body func(bw *bitio.Writer, li
 	for _, l := range append(append([]uint8(nil), lit...), dist...) {
 		bw.WriteBitsRev(uint32(l), clBits)
 	}
-	body(bw, canonicalCodes(lit), canonicalCodes(dist))
-	bw.Flush()
-	return buf.Bytes()
+	body(bw, canonicalCodesInto(nil, lit), canonicalCodesInto(nil, dist))
+	return flushBits(bw)
 }
 
 // sym writes symbol s of a code built by dynamicBlock.

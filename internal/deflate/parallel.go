@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"lzssfpga/internal/bitio"
 	"lzssfpga/internal/engine"
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/obs"
@@ -16,17 +15,15 @@ import (
 )
 
 // segWorker is the reusable per-goroutine state of the parallel
-// compressor: matcher hash tables, the command buffer and the encoded
-// output buffer all survive from segment to segment (and, through the
-// pool, from call to call), so the steady-state hot path allocates only
-// the per-segment result slice.
+// compressor: matcher hash tables, the command buffer and the block
+// writer's scratch all survive from segment to segment (and, through
+// the pool, from call to call), so the steady-state hot path allocates
+// only the per-segment result slice.
 type segWorker struct {
 	p    lzss.Params
 	m    *lzss.Matcher
 	cmds []token.Command
-	out  sliceBuffer
-	bw   *bitio.Writer
-	plan dynamicPlan
+	enc  blockWriter
 	// Per-run observability context, set by the worker loop before
 	// each segment and cleared before pooling: the run's tracer (nil
 	// when tracing is off), the worker's trace row, and the segment
@@ -38,17 +35,6 @@ type segWorker struct {
 	// output buffers (-1 = global tier), set by the job body from the
 	// executing worker id.
 	shard int
-}
-
-// sliceBuffer is the minimal io.Writer the bit writer needs: an
-// appendable byte slice that can be reset without freeing its backing
-// array (bytes.Buffer would do, but shifts bytes on Read and keeps
-// internal state the pipeline never uses).
-type sliceBuffer struct{ b []byte }
-
-func (s *sliceBuffer) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }
 
 var segWorkerPool = sync.Pool{New: func() any { return new(segWorker) }}
@@ -73,9 +59,6 @@ func getSegWorker(p lzss.Params) (*segWorker, error) {
 		w.m = m
 		w.p = p
 	}
-	if w.bw == nil {
-		w.bw = bitio.NewWriter(&w.out)
-	}
 	w.shard = -1
 	return w, nil
 }
@@ -85,7 +68,6 @@ func getSegWorker(p lzss.Params) (*segWorker, error) {
 func putSegWorker(w *segWorker) {
 	w.m.Reset(nil)
 	w.cmds = w.cmds[:0]
-	w.out.b = w.out.b[:0]
 	w.tr = nil
 	segWorkerPool.Put(w)
 }
@@ -322,49 +304,20 @@ func (w *segWorker) compressSegment(buf []byte, origin int, final bool, hint int
 			fmt.Sprintf(`{"segment":%d,"bytes":%d,"commands":%d}`, w.seg, len(buf)-origin, len(w.cmds)))
 	}
 	encodeStart := time.Now()
-	cmds := w.cmds
-	plan := &w.plan
-	plan.plan(cmds)
-	dynBits := plan.headerBits() + plan.bodyBits(cmds)
-	fixBits := 7
-	for _, c := range cmds {
-		fixBits += CommandBits(c)
-	}
 	// Encode straight into an arena buffer: the filled buffer IS the
-	// returned body, so the old copy-to-fresh-slice step is gone. On an
-	// error path the buffer goes straight back to the arena.
+	// returned body. On an error path the buffer goes straight back to
+	// the arena.
 	ab := engine.GetBufShard(hint, w.shard)
-	w.out.b = ab.B
-	fail := func(err error) (*engine.Buf, error) {
-		w.out.b = nil
+	w.enc.bw.Reset(ab.B)
+	if err := w.enc.writeBlock(w.cmds, nil, fixedOrDynamic, false); err != nil {
+		w.enc.bw.Reset(nil)
 		engine.PutBuf(ab)
 		return nil, err
 	}
-	bw := w.bw
-	bw.Reset(&w.out)
-	if dynBits < fixBits {
-		if err := plan.emit(bw, cmds, false); err != nil {
-			return fail(err)
-		}
-	} else {
-		e := NewEncoder(bw)
-		e.BeginBlock(false)
-		if err := e.EncodeAll(cmds); err != nil {
-			return fail(err)
-		}
-		e.EndBlock()
-	}
 	// Alignment / final marker: an empty stored block.
-	bw.WriteBool(final)
-	bw.WriteBits(0b00, 2)
-	bw.AlignByte()
-	bw.WriteBits(0, 16)
-	bw.WriteBits(0xFFFF, 16)
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	ab.B = w.out.b
-	w.out.b = nil
+	w.enc.writeStored(nil, final)
+	ab.B = w.enc.bw.Drain()
+	w.enc.bw.Reset(nil)
 	if w.tr != nil {
 		w.tr.Span("encode", w.tid, encodeStart, time.Since(encodeStart),
 			fmt.Sprintf(`{"segment":%d,"bytes":%d}`, w.seg, len(ab.B)))

@@ -76,7 +76,7 @@ func (r *parallelRun) attemptSegment(ctx context.Context, sw *segWorker, buf []b
 			// The panic may have left the matcher mid-update; Reset
 			// rebuilds its hash state from scratch.
 			sw.m.Reset(nil)
-			sw.out.b = nil
+			sw.enc.bw.Reset(nil)
 			body, err = nil, fmt.Errorf("%w: recovered worker panic: %v", ErrCorrupt, p)
 		}
 	}()

@@ -1,9 +1,6 @@
 package deflate
 
 import (
-	"bytes"
-
-	"lzssfpga/internal/bitio"
 	"lzssfpga/internal/token"
 )
 
@@ -19,43 +16,43 @@ import (
 // splitCandidateCommands is the initial cut granularity.
 const splitCandidateCommands = 8192
 
-// segmentCost returns the encoded size in bits of cmds as one block,
-// taking the cheaper of fixed and dynamic (stored is handled by the
-// caller, which knows the raw bytes).
-func segmentCost(cmds []token.Command) int {
-	p := planDynamic(cmds)
-	dyn := 3 + p.headerBits() + p.bodyBits(cmds)
-	fix := 3 + 7
-	for _, c := range cmds {
-		fix += CommandBits(c)
-	}
-	if dyn < fix {
-		return dyn
-	}
-	return fix
-}
-
 // SplitDeflate encodes cmds as a sequence of statistically coherent
 // blocks and returns the raw Deflate stream.
 func SplitDeflate(cmds []token.Command) ([]byte, error) {
-	if len(cmds) == 0 {
-		return FixedDeflate(cmds)
+	return splitDeflate(bodyBuf(nil, cmds), cmds)
+}
+
+// splitDeflate returns dst followed by the split blocks of cmds, padded
+// to a byte boundary. A block's cost is its size as the cheaper of
+// fixed and dynamic, header included; stored is left to callers that
+// know the raw bytes.
+func splitDeflate(dst []byte, cmds []token.Command) ([]byte, error) {
+	var w blockWriter
+	cost := func(cmds []token.Command) (int, error) {
+		_, n, err := w.choose(cmds, 0, fixedOrDynamic)
+		return n, err
 	}
-	// Initial candidate boundaries.
-	var bounds []int
-	for i := 0; i < len(cmds); i += splitCandidateCommands {
+	// Initial candidate boundaries; an empty stream is one empty block.
+	bounds := []int{0}
+	for i := splitCandidateCommands; i < len(cmds); i += splitCandidateCommands {
 		bounds = append(bounds, i)
 	}
 	bounds = append(bounds, len(cmds))
 	costs := make([]int, len(bounds)-1)
 	for i := range costs {
-		costs[i] = segmentCost(cmds[bounds[i]:bounds[i+1]])
+		var err error
+		if costs[i], err = cost(cmds[bounds[i]:bounds[i+1]]); err != nil {
+			return nil, err
+		}
 	}
 	// Greedy neighbour merging: accept any merge that does not lose.
 	for {
 		merged := false
 		for i := 0; i+1 < len(costs); i++ {
-			joint := segmentCost(cmds[bounds[i]:bounds[i+2]])
+			joint, err := cost(cmds[bounds[i]:bounds[i+2]])
+			if err != nil {
+				return nil, err
+			}
 			if joint <= costs[i]+costs[i+1] {
 				bounds = append(bounds[:i+1], bounds[i+2:]...)
 				costs[i] = joint
@@ -67,42 +64,25 @@ func SplitDeflate(cmds []token.Command) ([]byte, error) {
 			break
 		}
 	}
-	// Emit.
-	var buf bytes.Buffer
-	bw := bitio.NewWriter(&buf)
+	w.bw.Reset(dst)
 	for i := 0; i+1 < len(bounds); i++ {
-		seg := cmds[bounds[i]:bounds[i+1]]
-		final := i+2 == len(bounds)
-		p := planDynamic(seg)
-		dyn := p.headerBits() + p.bodyBits(seg)
-		fix := 7
-		for _, c := range seg {
-			fix += CommandBits(c)
-		}
-		if dyn < fix {
-			if err := p.emit(bw, seg, final); err != nil {
-				return nil, err
-			}
-		} else {
-			e := NewEncoder(bw)
-			e.BeginBlock(final)
-			if err := e.EncodeAll(seg); err != nil {
-				return nil, err
-			}
-			e.EndBlock()
+		if err := w.writeBlock(cmds[bounds[i]:bounds[i+1]], nil, fixedOrDynamic, i+2 == len(bounds)); err != nil {
+			return nil, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w.bw.AlignByte()
+	return w.bw.Drain(), nil
 }
 
 // ZlibCompressSplit wraps SplitDeflate in the zlib container.
 func ZlibCompressSplit(cmds []token.Command, src []byte, window int) ([]byte, error) {
-	body, err := SplitDeflate(cmds)
+	hdr, err := ZlibHeader(window)
 	if err != nil {
 		return nil, err
 	}
-	return ZlibWrap(body, src, window)
+	out, err := splitDeflate(bodyBuf(hdr[:], cmds), cmds)
+	if err != nil {
+		return nil, err
+	}
+	return appendAdler(out, src), nil
 }

