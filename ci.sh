@@ -89,11 +89,12 @@ echo "== engine soak + stall reorder + parallel option matrix (race) =="
 race_gate 'TestEngineSoak|TestReorderUnderWorkerStalls|TestParallelOptionMatrix|TestParallelDictResilientRecoversPanics|TestParallelSinkContextCancel' ./internal/deflate
 
 echo "== engine soak at GOMAXPROCS=4 (race) =="
-# The shard-affine arena and the reorder path only exercise cross-core
+# The shared job queue and the reorder window only exercise cross-core
 # hand-offs when more than one P is scheduling workers; pin 4 so a
-# 1-core CI box still runs the concurrent interleavings.
-require_tests 'TestEngineSoak|TestArena' -race ./internal/deflate ./internal/engine
-GOMAXPROCS=4 go test -race -run 'TestEngineSoak|TestArena' -count=1 ./internal/deflate ./internal/engine
+# 1-core CI box still runs the concurrent interleavings, request reuse
+# included.
+require_tests 'TestEngineSoak|TestArena|TestRequest|TestSubmitAndStream' -race ./internal/deflate ./internal/engine
+GOMAXPROCS=4 go test -race -run 'TestEngineSoak|TestArena|TestRequest|TestSubmitAndStream' -count=1 ./internal/deflate ./internal/engine
 
 echo "== inflate drivers gate (race) =="
 # The one inflate core under every decoder: the gen-2 corpora, stdlib

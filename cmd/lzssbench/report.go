@@ -263,7 +263,7 @@ func cpuModel() string {
 // parallel paths are additionally measured at GOMAXPROCS 1/2/4/8
 // (clamped to what the box can schedule is deliberately NOT done — a
 // 1-core machine records honest non-scaling numbers), rebuilding the
-// shared engine at each width so shard count follows the setting.
+// shared engine at each width so its worker count follows the setting.
 func writeJSONReport(path string, bytes int, seed int64, sweep bool, reg *lzssfpga.MetricsRegistry) (*benchReport, error) {
 	data := workload.Wiki(bytes, seed)
 	rand := workload.Random(bytes, seed)
@@ -357,8 +357,8 @@ func compressCarry(data []byte, p lzssfpga.Params) ([]byte, error) {
 }
 
 // sweepParallel measures the parallel paths at GOMAXPROCS 1/2/4/8,
-// rebuilding the shared engine at each width (shard count is fixed at
-// engine construction) and restoring the original setting afterwards.
+// rebuilding the shared engine at each width (its worker count is fixed
+// at engine construction) and restoring the original setting afterwards.
 func sweepParallel(data []byte, p lzssfpga.Params, iters int) ([]benchEntry, error) {
 	orig := runtime.GOMAXPROCS(0)
 	defer func() {

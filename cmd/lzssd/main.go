@@ -1,5 +1,5 @@
 // Command lzssd is the long-running compression daemon: the persistent
-// sharded engine behind two network fronts.
+// compression engine behind two network fronts.
 //
 //	lzssd -http :8390 -tcp :8391 -metrics :8392
 //

@@ -35,7 +35,7 @@ const SegmentAdaptive = -1
 var adaptiveSizer = engine.NewSizer(64<<10, 2<<20, 256<<10, 2*time.Millisecond, 12*time.Millisecond)
 
 // defaultEng is the process-wide engine, built on first use. The floor
-// of four shards keeps blocking-heavy work (fault-injected stalls, the
+// of four workers keeps blocking-heavy work (fault-injected stalls, the
 // resilient retry loop) overlapped even on a single-core box; CPU-bound
 // segments just time-slice.
 var (
@@ -47,11 +47,7 @@ func defaultEngine() *engine.Engine {
 	engMu.Lock()
 	defer engMu.Unlock()
 	if defaultEng == nil {
-		shards := runtime.GOMAXPROCS(0)
-		if shards < 4 {
-			shards = 4
-		}
-		defaultEng = engine.New(engine.Config{Shards: shards})
+		defaultEng = engine.New(engine.Config{Workers: max(runtime.GOMAXPROCS(0), 4)})
 	}
 	return defaultEng
 }
@@ -206,7 +202,7 @@ func (j *pjob) runFast(wid int) (*engine.Buf, error) {
 		return nil, err
 	}
 	defer putSegWorker(sw)
-	sw.tr, sw.tid, sw.seg, sw.shard = r.o.Tracer, wid+1, j.idx, wid
+	sw.tr, sw.tid, sw.seg = r.o.Tracer, wid+1, j.idx
 	return sw.compressSegment(r.data[j.dictLo:j.hi], j.lo-j.dictLo, j.final, segHint(j.hi-j.lo))
 }
 
@@ -217,7 +213,7 @@ func (j *pjob) runResilient(wid int) (*engine.Buf, error) {
 	r := j.run
 	var body *engine.Buf
 	if sw, swErr := getSegWorker(r.p); swErr == nil {
-		sw.tr, sw.tid, sw.shard = r.o.Tracer, wid+1, wid
+		sw.tr, sw.tid = r.o.Tracer, wid+1
 		body = r.compressSegmentResilient(sw, r.data[j.dictLo:j.hi], j.lo-j.dictLo, j.idx, j.final)
 		putSegWorker(sw)
 	}

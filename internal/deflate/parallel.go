@@ -14,27 +14,23 @@ import (
 	"lzssfpga/internal/token"
 )
 
-// segWorker is the reusable per-goroutine state of the parallel
-// compressor: matcher hash tables, the command buffer and the block
-// writer's scratch all survive from segment to segment (and, through
-// the pool, from call to call), so the steady-state hot path allocates
-// only the per-segment result slice.
+// segWorker is the reusable state of one segment compression: matcher
+// hash tables, the command buffer and the block writer's scratch all
+// survive from segment to segment (and, through the pool, from call to
+// call); each body is encoded straight into an arena buffer.
 type segWorker struct {
 	p    lzss.Params
 	m    *lzss.Matcher
 	cmds []token.Command
 	enc  blockWriter
-	// Per-run observability context, set by the worker loop before
-	// each segment and cleared before pooling: the run's tracer (nil
-	// when tracing is off), the worker's trace row, and the segment
-	// index being compressed.
+	// Observability context, set by the job body before each segment
+	// (tr is cleared before pooling): the run's tracer (nil when
+	// tracing is off), the trace row (the executing engine worker's id
+	// plus one; row 0 is the coordinator), and the segment index being
+	// compressed.
 	tr  *obs.Tracer
 	tid int
 	seg int
-	// shard is the engine shard whose arena stack serves this worker's
-	// output buffers (-1 = global tier), set by the job body from the
-	// executing worker id.
-	shard int
 }
 
 var segWorkerPool = sync.Pool{New: func() any { return new(segWorker) }}
@@ -59,7 +55,6 @@ func getSegWorker(p lzss.Params) (*segWorker, error) {
 		w.m = m
 		w.p = p
 	}
-	w.shard = -1
 	return w, nil
 }
 
@@ -229,7 +224,7 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 	defer putJobs(jobs)
 	if o.Tracer != nil {
 		o.Tracer.Span("split", 0, splitStart, time.Since(splitStart),
-			fmt.Sprintf(`{"segments":%d,"workers":%d,"resilient":%t}`, plan.nSeg, eng.Shards(), o.Resilient))
+			fmt.Sprintf(`{"segments":%d,"workers":%d,"resilient":%t}`, plan.nSeg, eng.Workers(), o.Resilient))
 	}
 	err = eng.SubmitAndStream(ctx, plan.nSeg, workers,
 		func(i int, r *engine.Request) engine.Job {
@@ -307,7 +302,7 @@ func (w *segWorker) compressSegment(buf []byte, origin int, final bool, hint int
 	// Encode straight into an arena buffer: the filled buffer IS the
 	// returned body. On an error path the buffer goes straight back to
 	// the arena.
-	ab := engine.GetBufShard(hint, w.shard)
+	ab := engine.GetBuf(hint)
 	w.enc.bw.Reset(ab.B)
 	if err := w.enc.writeBlock(w.cmds, nil, fixedOrDynamic, false); err != nil {
 		w.enc.bw.Reset(nil)

@@ -5,73 +5,31 @@ import (
 	"sync"
 )
 
-// Size-classed buffer arena: power-of-two classes from 4 KiB to 8 MiB.
-// Segment output bodies cycle through it — a worker takes a buffer,
-// fills it, the assembler appends it into the request output and puts it
-// back — so the steady-state request path performs no per-segment
-// allocation. Buffers travel as *Buf so the pools store a stable pointer
-// (a bare []byte would box a fresh interface header on every Put, an
+// Size-classed buffer arena: power-of-two sync.Pool classes from 4 KiB
+// to 8 MiB. Segment output bodies cycle through it — a worker takes a
+// buffer, fills it, the assembler appends it into the request output and
+// puts it back — so the steady-state request path performs no
+// per-segment allocation. sync.Pool already keeps a LIFO cache per P,
+// so a buffer put back on one core is usually the next one that core
+// gets. Buffers travel as *Buf so the pools store a stable pointer (a
+// bare []byte would box a fresh interface header on every Put, an
 // allocation per segment — exactly what the arena exists to avoid).
 // Oversized requests fall through to the allocator, keeping the pooled
 // footprint bounded.
-//
-// Two tiers serve the classes:
-//
-//   - Per-shard stacks (shard-affine tier): each engine shard owns a
-//     small LIFO stack per class up to arenaLocalMaxBits. A worker that
-//     keeps getting its buffers from its own stack reuses memory that
-//     was last written on the same core, so the hot lines are still in
-//     that core's cache instead of migrating over the interconnect. A
-//     shard whose stack is empty steals from a sibling — and the stolen
-//     buffer is rehomed to the thief, so a persistent producer/consumer
-//     imbalance converges to local traffic instead of stealing forever.
-//     Hits and steals are exported as engine_arena_local_hits_total /
-//     engine_arena_remote_gets_total; their ratio is the affinity.
-//
-//   - A global sync.Pool tier backs everything else: shard stacks that
-//     are empty and full, classes above the local ceiling, and callers
-//     without a shard identity (GetBuf).
 
 // Buf is an arena-owned byte buffer. B may be appended to freely (the
 // possibly regrown slice is what PutBuf reclassifies).
 type Buf struct {
 	B []byte
-	// home is the shard whose local stack this buffer returns to on
-	// PutBuf, -1 for global-tier buffers. Stealing rehomes the buffer to
-	// the thief.
-	home int
 }
 
 const (
 	arenaMinBits = 12 // 4 KiB
 	arenaMaxBits = 23 // 8 MiB
 	arenaClasses = arenaMaxBits - arenaMinBits + 1
-
-	// numArenaShards is the number of shard-local stack sets; engine
-	// shards map onto them modulo this count.
-	numArenaShards = 8
-	// arenaLocalMaxBits is the largest class kept on shard-local stacks
-	// (1 MiB); larger buffers are rare enough that affinity does not pay
-	// for the held-down memory.
-	arenaLocalMaxBits = 20
-	arenaLocalClasses = arenaLocalMaxBits - arenaMinBits + 1
-	// arenaShardDepth bounds each shard-local per-class stack; overflow
-	// spills to the global pool, so the affine tier holds at most
-	// shards × classes × depth buffers.
-	arenaShardDepth = 4
 )
 
 var arena [arenaClasses]sync.Pool
-
-// shardArena is one shard's local stacks, all classes behind one mutex
-// (operations are a handful of pointer moves; one lock keeps steals
-// cheap to attempt).
-type shardArena struct {
-	mu    sync.Mutex
-	stack [arenaLocalClasses][]*Buf
-}
-
-var shardArenas [numArenaShards]shardArena
 
 // classFor returns the smallest class whose buffers hold n bytes, or -1
 // when n exceeds the largest class.
@@ -87,49 +45,16 @@ func classFor(n int) int {
 }
 
 // GetBuf returns a buffer with zero length and capacity at least n,
-// pooled when n fits a size class. The buffer comes from the global
-// tier; workers with a shard identity use GetBufShard.
+// pooled when n fits a size class.
 func GetBuf(n int) *Buf {
-	return GetBufShard(n, -1)
-}
-
-// GetBufShard is GetBuf with shard affinity: the calling shard's local
-// stack is tried first, then a steal from a sibling shard (rehoming the
-// buffer), then the global tier. shard < 0 skips the affine tier.
-func GetBufShard(n, shard int) *Buf {
 	k := engObs.Load()
 	if k != nil {
 		k.arenaGets.Inc()
 	}
 	c := classFor(n)
-	if c >= 0 && c < arenaLocalClasses && shard >= 0 {
-		home := shard % numArenaShards
-		if b := shardArenas[home].pop(c); b != nil {
-			if k != nil {
-				k.arenaLocalHits.Inc()
-			}
-			b.B = b.B[:0]
-			return b
-		}
-		for off := 1; off < numArenaShards; off++ {
-			if b := shardArenas[(home+off)%numArenaShards].pop(c); b != nil {
-				if k != nil {
-					k.arenaRemoteGets.Inc()
-				}
-				b.home = home // rehome: the thief keeps it from now on
-				b.B = b.B[:0]
-				return b
-			}
-		}
-	}
 	if c >= 0 {
 		if v := arena[c].Get(); v != nil {
 			b := v.(*Buf)
-			if c < arenaLocalClasses && shard >= 0 {
-				b.home = shard % numArenaShards
-			} else {
-				b.home = -1
-			}
 			b.B = b.B[:0]
 			return b
 		}
@@ -138,46 +63,13 @@ func GetBufShard(n, shard int) *Buf {
 	if k != nil {
 		k.arenaMisses.Inc()
 	}
-	home := -1
-	if c >= 0 && c < arenaLocalClasses && shard >= 0 {
-		home = shard % numArenaShards
-	}
-	return &Buf{B: make([]byte, 0, n), home: home}
-}
-
-func (s *shardArena) pop(c int) *Buf {
-	s.mu.Lock()
-	st := s.stack[c]
-	n := len(st)
-	if n == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	b := st[n-1]
-	st[n-1] = nil
-	s.stack[c] = st[:n-1]
-	s.mu.Unlock()
-	return b
-}
-
-func (s *shardArena) push(c int, b *Buf) bool {
-	s.mu.Lock()
-	if len(s.stack[c]) >= arenaShardDepth {
-		s.mu.Unlock()
-		return false
-	}
-	s.stack[c] = append(s.stack[c], b)
-	s.mu.Unlock()
-	return true
+	return &Buf{B: make([]byte, 0, n)}
 }
 
 // PutBuf recycles b into the class its current capacity fills (appends
-// may have grown it past its birth class). A buffer with a home shard
-// goes back onto that shard's local stack when its class still fits the
-// affine tier and the stack has room; everything else lands in the
-// global pool. Buffers below the minimum class are dropped, buffers
-// above the maximum are clipped into the top class. nil is a no-op; the
-// caller must not touch b afterwards.
+// may have grown it past its birth class). Buffers below the minimum
+// class are dropped, buffers above the maximum are clipped into the top
+// class. nil is a no-op; the caller must not touch b afterwards.
 func PutBuf(b *Buf) {
 	if b == nil || cap(b.B) < 1<<arenaMinBits {
 		return
@@ -187,11 +79,5 @@ func PutBuf(b *Buf) {
 		c = arenaClasses - 1
 	}
 	b.B = b.B[:0]
-	if h := b.home; h >= 0 && h < numArenaShards && c < arenaLocalClasses {
-		if shardArenas[h].push(c, b) {
-			return
-		}
-	}
-	b.home = -1
 	arena[c].Put(b)
 }

@@ -1,9 +1,9 @@
-// Package engine is the persistent, sharded execution core of the
-// parallel compression pipeline: a fixed set of long-lived worker
-// goroutines (one per shard) pulling jobs from bounded per-shard queues
-// with work stealing, a per-request streaming reorder buffer
-// (reorder.go), a size-classed buffer arena (arena.go) and an online
-// segment-size adapter (sizer.go).
+// Package engine is the persistent execution core of the parallel
+// compression pipeline: a fixed set of long-lived worker goroutines
+// reading one bounded job queue, a per-request reorder window that
+// streams completed segments back in index order (reorder.go), a
+// size-classed buffer arena (arena.go) and an online segment-size
+// adapter (sizer.go).
 //
 // The engine exists to amortize setup across requests, the way the
 // paper's hardware pipeline amortizes it across blocks: goroutines are
@@ -24,57 +24,41 @@ import (
 )
 
 // Job is one unit of work. Run receives the id of the worker executing
-// it (0-based), which callers use to label per-worker trace rows. A job
-// must not be touched by the submitter again until it has signalled its
-// own completion (the deflate jobs signal through a Request).
+// it (0-based), which callers use to label per-worker trace rows. Any
+// worker may run any job. A job must not be touched by the submitter
+// again until it has signalled its own completion (the deflate jobs
+// signal through a Request).
 type Job interface {
 	Run(worker int)
 }
 
-// Config sizes an Engine. The zero value selects GOMAXPROCS shards with
-// a queue depth of 32 jobs per shard.
+// Config sizes an Engine. The zero value selects GOMAXPROCS workers and
+// a queue depth of 32 jobs per worker.
 type Config struct {
-	// Shards is the number of worker goroutines (one per shard).
-	Shards int
-	// QueueDepth bounds each shard's job queue; a full engine blocks
-	// submitters (backpressure) rather than growing memory.
+	// Workers is the number of worker goroutines.
+	Workers int
+	// QueueDepth is the job queue's capacity per worker: the one queue
+	// every worker reads holds Workers × QueueDepth jobs, and a full
+	// queue blocks submitters (backpressure) rather than growing memory.
 	QueueDepth int
 }
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// Engine is a persistent sharded work-stealing scheduler. Safe for
-// concurrent use; the zero value is not usable — construct with New.
+// Engine is a persistent worker pool over one bounded job queue. Safe
+// for concurrent use; the zero value is not usable — construct with New.
 type Engine struct {
-	shards []shard
-	// wake is pinged (non-blocking) after every enqueue so idle workers
-	// parked in the slow path re-run their steal scan; capacity one per
-	// worker makes the ping effectively a condition-variable broadcast.
-	wake chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
-	rr   atomic.Uint32
-	done atomic.Bool
-
-	// Mirrored scheduler counters, always maintained (cheap atomics) so
-	// tests and callers can read them without a registry; the obs sink
-	// republishes them under canonical engine_* names.
-	steals atomic.Int64
-	jobs   atomic.Int64
-	busyNs atomic.Int64
-}
-
-// shard is one bounded queue plus padding to keep the per-shard hot
-// fields off shared cache lines.
-type shard struct {
-	q chan Job
-	_ [64 - 8]byte //nolint:unused // cache-line padding
+	q       chan Job
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	workers int
+	done    atomic.Bool
 }
 
 // New builds the engine and starts its workers.
 func New(cfg Config) *Engine {
-	n := cfg.Shards
+	n := cfg.Workers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -83,12 +67,9 @@ func New(cfg Config) *Engine {
 		depth = 32
 	}
 	e := &Engine{
-		shards: make([]shard, n),
-		wake:   make(chan struct{}, n),
-		stop:   make(chan struct{}),
-	}
-	for i := range e.shards {
-		e.shards[i].q = make(chan Job, depth)
+		q:       make(chan Job, n*depth),
+		stop:    make(chan struct{}),
+		workers: n,
 	}
 	e.wg.Add(n)
 	for i := 0; i < n; i++ {
@@ -97,55 +78,30 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Shards returns the worker count.
-func (e *Engine) Shards() int { return len(e.shards) }
+// Workers returns the worker count.
+func (e *Engine) Workers() int { return e.workers }
 
-// Steals returns the lifetime count of cross-shard steals.
-func (e *Engine) Steals() int64 { return e.steals.Load() }
-
-// Jobs returns the lifetime count of executed jobs.
-func (e *Engine) Jobs() int64 { return e.jobs.Load() }
-
-// Submit enqueues j, preferring the next shard in round-robin order and
-// falling back to any shard with room; when every queue is full it
-// blocks on the home shard — the engine's backpressure — until space
-// frees, ctx is cancelled, or the engine closes.
+// Submit enqueues j. When the queue is full it blocks — the engine's
+// backpressure — until space frees, ctx is done, or the engine closes.
 func (e *Engine) Submit(ctx context.Context, j Job) error {
 	if e.done.Load() {
 		return ErrClosed
 	}
-	home := int(e.rr.Add(1)-1) % len(e.shards)
-	// Fast path: first queue with room, scanning from home.
-	for i := 0; i < len(e.shards); i++ {
-		s := &e.shards[(home+i)%len(e.shards)]
+	select {
+	case e.q <- j:
+	default:
 		select {
-		case s.q <- j:
-			e.enqueued(s)
-			return nil
-		default:
+		case e.q <- j:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-e.stop:
+			return ErrClosed
 		}
 	}
-	// Slow path: block on the home queue with cancellation.
-	select {
-	case e.shards[home].q <- j:
-		e.enqueued(&e.shards[home])
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-e.stop:
-		return ErrClosed
-	}
-}
-
-// enqueued records queue-depth observability and wakes an idle worker.
-func (e *Engine) enqueued(s *shard) {
 	if k := engObs.Load(); k != nil {
-		k.queueDepth.Observe(int64(len(s.q)))
+		k.queueDepth.Observe(int64(len(e.q)))
 	}
-	select {
-	case e.wake <- struct{}{}:
-	default:
-	}
+	return nil
 }
 
 // Close stops the workers and waits for them to exit. Jobs already
@@ -159,71 +115,33 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// worker is the persistent per-shard loop: own queue first, then a
-// steal scan over the other shards, then park until woken or stopped.
+// worker is the persistent loop: run queued jobs until Close, then
+// drain whatever is still queued so no submitted job is stranded.
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
-	own := e.shards[id].q
 	for {
 		select {
-		case j := <-own:
-			e.run(id, j, false)
-			continue
-		default:
-		}
-		if j, from := e.trySteal(id); j != nil {
-			e.run(id, j, from != id)
-			continue
-		}
-		select {
-		case j := <-own:
-			e.run(id, j, false)
-		case <-e.wake:
-			// Work appeared somewhere; loop back into the steal scan.
+		case j := <-e.q:
+			e.run(id, j)
 		case <-e.stop:
-			// Drain everything still queued (our queue and any other
-			// shard's) so Close never strands a submitted job, then exit.
 			for {
-				j, _ := e.trySteal(id)
-				if j == nil {
+				select {
+				case j := <-e.q:
+					e.run(id, j)
+				default:
 					return
 				}
-				e.run(id, j, false)
 			}
 		}
 	}
 }
 
-// trySteal scans every shard starting with the worker's own for a
-// ready job. The second result is the shard the job came from.
-func (e *Engine) trySteal(id int) (Job, int) {
-	for i := 0; i < len(e.shards); i++ {
-		from := (id + i) % len(e.shards)
-		select {
-		case j := <-e.shards[from].q:
-			return j, from
-		default:
-		}
-	}
-	return nil, -1
-}
-
-// run executes one job, charging its wall time to the shard-busy
-// counter and counting steals.
-func (e *Engine) run(id int, j Job, stolen bool) {
-	if stolen {
-		e.steals.Add(1)
-	}
+// run executes one job, charging its wall time to the busy counter.
+func (e *Engine) run(id int, j Job) {
 	start := time.Now()
 	j.Run(id)
-	d := time.Since(start).Nanoseconds()
-	e.jobs.Add(1)
-	e.busyNs.Add(d)
 	if k := engObs.Load(); k != nil {
 		k.jobs.Inc()
-		k.busyNs.Add(d)
-		if stolen {
-			k.steals.Inc()
-		}
+		k.jobNs.Add(time.Since(start).Nanoseconds())
 	}
 }

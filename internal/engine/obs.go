@@ -6,8 +6,9 @@ import (
 	"lzssfpga/internal/obs"
 )
 
-// queueDepthBounds buckets shard-queue depth observed at enqueue;
-// reorderBounds buckets reorder-heap occupancy observed at completion.
+// queueDepthBounds buckets the job queue's depth observed at enqueue;
+// reorderBounds buckets the completions a request holds for an earlier
+// index, observed at each completion.
 var (
 	queueDepthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128}
 	reorderBounds    = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128}
@@ -16,17 +17,14 @@ var (
 // engSink holds the registry handles for the engine_* family. Updates
 // are per-job / per-submit, never per byte.
 type engSink struct {
-	requests        *obs.Counter
-	jobs            *obs.Counter
-	steals          *obs.Counter
-	busyNs          *obs.Counter
-	arenaGets       *obs.Counter
-	arenaMisses     *obs.Counter
-	arenaLocalHits  *obs.Counter
-	arenaRemoteGets *obs.Counter
-	queueDepth      *obs.Histogram
-	reorderDepth    *obs.Histogram
-	segmentBytes    *obs.Gauge
+	requests     *obs.Counter
+	jobs         *obs.Counter
+	jobNs        *obs.Counter
+	arenaGets    *obs.Counter
+	arenaMisses  *obs.Counter
+	queueDepth   *obs.Histogram
+	reorderDepth *obs.Histogram
+	segmentBytes *obs.Gauge
 }
 
 var engObs atomic.Pointer[engSink]
@@ -39,16 +37,13 @@ func SetObservability(reg *obs.Registry) {
 		return
 	}
 	engObs.Store(&engSink{
-		requests:        reg.Counter(obs.EngineRequests),
-		jobs:            reg.Counter(obs.EngineJobs),
-		steals:          reg.Counter(obs.EngineSteals),
-		busyNs:          reg.Counter(obs.EngineShardBusyNs),
-		arenaGets:       reg.Counter(obs.EngineArenaGets),
-		arenaMisses:     reg.Counter(obs.EngineArenaMisses),
-		arenaLocalHits:  reg.Counter(obs.EngineArenaLocalHits),
-		arenaRemoteGets: reg.Counter(obs.EngineArenaRemoteGets),
-		queueDepth:      reg.Histogram(obs.EngineQueueDepth, queueDepthBounds),
-		reorderDepth:    reg.Histogram(obs.EngineReorderOccupancy, reorderBounds),
-		segmentBytes:    reg.Gauge(obs.EngineSegmentBytes),
+		requests:     reg.Counter(obs.EngineRequests),
+		jobs:         reg.Counter(obs.EngineJobs),
+		jobNs:        reg.Counter(obs.EngineShardBusyNs),
+		arenaGets:    reg.Counter(obs.EngineArenaGets),
+		arenaMisses:  reg.Counter(obs.EngineArenaMisses),
+		queueDepth:   reg.Histogram(obs.EngineQueueDepth, queueDepthBounds),
+		reorderDepth: reg.Histogram(obs.EngineReorderOccupancy, reorderBounds),
+		segmentBytes: reg.Gauge(obs.EngineSegmentBytes),
 	})
 }

@@ -7,73 +7,68 @@ import (
 	"lzssfpga/internal/obs"
 )
 
-// Request is the per-call reorder buffer: workers complete segments in
+// Request is the per-call reorder window: workers complete segments in
 // whatever order the scheduler finishes them, and the request streams
 // them back to its owner in index order while later segments are still
 // compressing — there is no full-batch barrier anywhere.
 //
 // Mechanics: completions arrive on a channel sized for the whole
-// request (workers never block on it), and the owner folds them through
-// a small index min-heap, emitting every segment that has become
-// contiguous with the emit cursor. Requests recycle through a pool; the
-// channel and heap storage survive recycling.
+// request (workers never block on it). Segment indices are dense and
+// known before the first submit, so the owner keeps one slot per index:
+// it stores each completion in its slot, then emits and clears slots
+// from the cursor for as long as they are filled. Requests recycle
+// through a pool; the channel and slot storage survive recycling, and
+// because emitting clears a slot, a pooled request holds no buffer and
+// no completion from its previous use.
 type Request struct {
-	n         int
-	submitted int
-	emitted   int
-	next      int // next index to emit
-	done      chan segResult
-	heap      []segResult // min-heap on idx
+	sent    int // jobs handed to the engine
+	emitted int // the cursor: segments [0, emitted) have been emitted
+	held    int // completions stored past the cursor
+	done    chan segResult
+	slots   []segResult
 }
 
 // segResult is one completed segment: its index, its arena-backed body
-// (nil on error) and the error, if any.
+// (nil on error) and the error, if any. full marks a stored slot.
 type segResult struct {
 	idx  int
 	body *Buf
 	err  error
+	full bool
 }
 
 var reqPool = sync.Pool{New: func() any { return new(Request) }}
 
-// NewRequest returns a pooled request expecting n segment completions.
-func NewRequest(n int) *Request {
+// newRequest returns a pooled request with a window of n segments.
+func newRequest(n int) *Request {
 	r := reqPool.Get().(*Request)
-	r.n = n
-	r.submitted = 0
-	r.emitted = 0
-	r.next = 0
-	r.heap = r.heap[:0]
+	r.sent, r.emitted, r.held = 0, 0, 0
 	if cap(r.done) < n {
 		r.done = make(chan segResult, n)
 	}
+	if cap(r.slots) < n {
+		r.slots = make([]segResult, n)
+	}
+	r.slots = r.slots[:n]
 	return r
 }
 
-// Release returns the request to the pool. Only legal once every
-// submitted job has been emitted (Flush guarantees this).
-func (r *Request) Release() {
+// release returns the request to the pool. Only legal once every
+// submitted job has been emitted (flush guarantees this).
+func (r *Request) release() {
 	reqPool.Put(r)
-}
-
-// Submitted records that one more job was handed to the engine and
-// returns the running count. The request must see exactly this many
-// Complete calls before Flush returns.
-func (r *Request) Submitted() int {
-	r.submitted++
-	return r.submitted
 }
 
 // Complete is the worker-side completion signal for segment idx. It
 // never blocks: the channel holds the whole request. It must be the
 // worker's last touch of the request and of the job that carried it.
 func (r *Request) Complete(idx int, body *Buf, err error) {
-	r.done <- segResult{idx: idx, body: body, err: err}
+	r.done <- segResult{idx: idx, body: body, err: err, full: true}
 }
 
-// Poll drains every completion already buffered, emitting any segments
-// that became contiguous, and returns without blocking.
-func (r *Request) Poll(emit func(*Buf, error)) {
+// poll folds every completion already buffered and returns without
+// blocking.
+func (r *Request) poll(emit func(*Buf, error)) {
 	for {
 		select {
 		case c := <-r.done:
@@ -84,94 +79,60 @@ func (r *Request) Poll(emit func(*Buf, error)) {
 	}
 }
 
-// WaitOne blocks for a single completion (the submit path uses it to
-// cap in-flight segments at the caller's worker budget), then drains
+// waitOne blocks for a single completion (the submit path uses it to
+// cap in-flight segments at the caller's worker budget), then folds
 // whatever else is ready.
-func (r *Request) WaitOne(emit func(*Buf, error)) {
+func (r *Request) waitOne(emit func(*Buf, error)) {
 	r.fold(<-r.done, emit)
-	r.Poll(emit)
+	r.poll(emit)
 }
 
-// Pending is the number of submitted segments not yet emitted.
-func (r *Request) Pending() int { return r.submitted - r.emitted }
+// submitted records that one more job was handed to the engine. The
+// request must see exactly that many Complete calls before flush
+// returns.
+func (r *Request) submitted() { r.sent++ }
 
-// Flush blocks until every submitted segment has been emitted. It must
-// be called even on error paths: a request may only be released (and
-// its job storage reused) once no worker can still touch it.
-func (r *Request) Flush(emit func(*Buf, error)) {
-	for r.emitted < r.submitted {
+// pending is the number of submitted segments not yet emitted.
+func (r *Request) pending() int { return r.sent - r.emitted }
+
+// flush blocks until every submitted segment has been emitted. It must
+// run even on error paths: a request may only be released (and its job
+// storage reused) once no worker can still touch it.
+func (r *Request) flush(emit func(*Buf, error)) {
+	for r.emitted < r.sent {
 		r.fold(<-r.done, emit)
 	}
 }
 
-// fold merges one completion into the heap and emits the contiguous
-// run starting at the cursor.
+// fold stores one completion in its slot and emits the filled run
+// starting at the cursor, clearing each slot it emits.
 func (r *Request) fold(c segResult, emit func(*Buf, error)) {
-	r.push(c)
-	if k := engObs.Load(); k != nil {
-		k.reorderDepth.Observe(int64(len(r.heap)))
-	}
-	for len(r.heap) > 0 && r.heap[0].idx == r.next {
-		top := r.pop()
-		emit(top.body, top.err)
+	r.slots[c.idx] = c
+	r.held++
+	for r.emitted < len(r.slots) && r.slots[r.emitted].full {
+		s := r.slots[r.emitted]
+		r.slots[r.emitted] = segResult{}
 		r.emitted++
-		r.next++
+		r.held--
+		emit(s.body, s.err)
 	}
-}
-
-// push/pop are a hand-rolled min-heap on segResult.idx — container/heap
-// would force an interface and per-op allocations.
-func (r *Request) push(c segResult) {
-	r.heap = append(r.heap, c)
-	i := len(r.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if r.heap[parent].idx <= r.heap[i].idx {
-			break
-		}
-		r.heap[parent], r.heap[i] = r.heap[i], r.heap[parent]
-		i = parent
+	if k := engObs.Load(); k != nil {
+		k.reorderDepth.Observe(int64(r.held))
 	}
-}
-
-func (r *Request) pop() segResult {
-	top := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap[last] = segResult{} // drop the *Buf reference
-	r.heap = r.heap[:last]
-	i := 0
-	for {
-		l, rt := 2*i+1, 2*i+2
-		small := i
-		if l < last && r.heap[l].idx < r.heap[small].idx {
-			small = l
-		}
-		if rt < last && r.heap[rt].idx < r.heap[small].idx {
-			small = rt
-		}
-		if small == i {
-			break
-		}
-		r.heap[i], r.heap[small] = r.heap[small], r.heap[i]
-		i = small
-	}
-	return top
 }
 
 // SubmitAndStream drives a whole request through the engine: it submits
 // jobs produced by job(i) for i in [0,n), keeps at most maxInflight
 // segments outstanding when maxInflight > 0, streams completions
 // through emit in index order as they land, and returns once every
-// segment has been emitted. On a submit failure (context cancellation
-// or engine close) it stops submitting, waits out the segments already
-// in flight, and returns the error. This is the one call sites need;
-// the finer-grained Request methods stay exported for tests and
-// bespoke pipelines.
+// submitted segment has been emitted. On a submit failure (context
+// cancellation or engine close) it stops submitting, waits out the
+// segments already in flight, and returns the error. Jobs signal
+// through Request.Complete; the rest of the request stays internal.
 func (e *Engine) SubmitAndStream(ctx context.Context, n, maxInflight int,
 	job func(i int, r *Request) Job, emit func(*Buf, error)) error {
-	r := NewRequest(n)
-	defer r.Release()
+	r := newRequest(n)
+	defer r.release()
 	// Request-scoped tracing rides in on ctx: the engine counts the
 	// segments it executes on the caller's behalf (the deflate jobs
 	// credit their queue-wait and run time into the same record).
@@ -181,20 +142,17 @@ func (e *Engine) SubmitAndStream(ctx context.Context, n, maxInflight int,
 	}
 	var submitErr error
 	for i := 0; i < n; i++ {
-		if maxInflight > 0 {
-			for r.Pending() >= maxInflight {
-				r.WaitOne(emit)
-			}
+		for maxInflight > 0 && r.pending() >= maxInflight {
+			r.waitOne(emit)
 		}
-		j := job(i, r)
-		if err := e.Submit(ctx, j); err != nil {
+		if err := e.Submit(ctx, job(i, r)); err != nil {
 			submitErr = err
 			break
 		}
 		rt.AddSegment()
-		r.Submitted()
-		r.Poll(emit)
+		r.submitted()
+		r.poll(emit)
 	}
-	r.Flush(emit)
+	r.flush(emit)
 	return submitErr
 }

@@ -67,24 +67,20 @@ const (
 	DeflateStreamBlocks   = "deflate_stream_blocks_total"
 	DeflateStreamFlushes  = "deflate_stream_flushes_total"
 
-	// engine_* — the persistent sharded compression engine
-	// (internal/engine): request/job/steal accounting, shard busy time,
-	// arena hit rate, queue-depth and reorder-occupancy distributions,
-	// and the adaptive segment size.
+	// engine_* — the persistent compression engine (internal/engine):
+	// request and job accounting, worker busy time, arena hit rate,
+	// queue-depth and reorder-occupancy distributions, and the adaptive
+	// segment size. EngineShardBusyNs keeps its historical name (scrapes
+	// key on it); it sums every worker's job time.
 	EngineRequests    = "engine_requests_total"
 	EngineJobs        = "engine_jobs_total"
-	EngineSteals      = "engine_steals_total"
 	EngineShardBusyNs = "engine_shard_busy_ns_total"
 	EngineArenaGets   = "engine_arena_gets_total"
 	EngineArenaMisses = "engine_arena_misses_total"
-	// Shard-affinity accounting for the per-shard arenas: local hits are
-	// Gets served from the calling shard's own stack; remote gets are
-	// served by stealing (with rehoming) from another shard's stack.
-	EngineArenaLocalHits  = "engine_arena_local_hits_total"
-	EngineArenaRemoteGets = "engine_arena_remote_gets_total"
-	// EngineQueueDepth buckets the home shard's queue depth at each
-	// enqueue; EngineReorderOccupancy buckets the reorder heap size at
-	// each completion (0 means segments streamed out strictly in order).
+	// EngineQueueDepth buckets the shared job queue's depth at each
+	// enqueue; EngineReorderOccupancy buckets, at each completion, the
+	// completions a request holds for an earlier index (0 means
+	// segments streamed out strictly in order).
 	EngineQueueDepth       = "engine_queue_depth"
 	EngineReorderOccupancy = "engine_reorder_occupancy"
 	// EngineSegmentBytes is the adaptive cut size most recently chosen

@@ -20,17 +20,17 @@ import (
 // of where the request's wall time went:
 //
 //	slot_wait       arrival → engine slot acquired (backpressure gate)
-//	queue_wait      segments sitting in shard queues before a worker
+//	queue_wait      segments in the engine's job queue until a worker takes them
 //	compress        segment execution (LZSS match + Huffman encode; on
 //	                decompress requests, the inflate call)
 //	reorder_wait    in-engine wall time explained by neither queueing
 //	                nor execution: completed segments waiting in the
-//	                reorder heap for an earlier index, plus driver
+//	                reorder window for an earlier index, plus driver
 //	                overhead
 //	response_write  writing response bytes to the client's socket
 //
 // Queue and compress are accumulated worker-side (segments run
-// concurrently on engine shards), so their raw sums can exceed the
+// concurrently on engine workers), so their raw sums can exceed the
 // request's wall clock on a multi-core box. Finalize clamps them to the
 // in-engine wall interval — the stage breakdown answers "where did THIS
 // request's latency come from", not "how much worker time did it

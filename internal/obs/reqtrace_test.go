@@ -94,7 +94,7 @@ func TestRequestTraceNilSafety(t *testing.T) {
 
 // TestFinalizeClampsStages pins the invariant every consumer relies on:
 // stages are non-negative and sum to at most the total, even when the
-// worker-side accumulators (credited concurrently across shards) exceed
+// worker-side accumulators (credited concurrently across workers) exceed
 // the request's wall clock.
 func TestFinalizeClampsStages(t *testing.T) {
 	rt := NewRequestTrace("http", "compress")

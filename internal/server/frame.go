@@ -1,5 +1,5 @@
 // Package server is the network serving layer: a long-running
-// compression daemon (cmd/lzssd) exposing the persistent sharded
+// compression daemon (cmd/lzssd) exposing the persistent compression
 // engine over two fronts —
 //
 //   - HTTP/1.1: POST /compress streams a zlib stream back while later

@@ -257,10 +257,13 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(DictHeader, dictID)
 	}
 	wStart := time.Now()
-	w.Write(out) //nolint:errcheck
+	n, werr := w.Write(out)
 	rt.AddWrite(time.Since(wStart))
-	if k := srvObs.Load(); k != nil {
-		k.responseBytes.Observe(int64(len(out)))
+	if werr == nil {
+		if k := srvObs.Load(); k != nil {
+			k.responseBytes.Observe(int64(n))
+		}
 	}
-	s.finishRequest(rt, time.Since(svcStart), int64(len(out)))
+	rt.SetErr(werr)
+	s.finishRequest(rt, time.Since(svcStart), int64(n))
 }

@@ -2,16 +2,19 @@ package server_test
 
 import (
 	"bytes"
+	"compress/zlib"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"lzssfpga/internal/cache/dict"
+	"lzssfpga/internal/obs"
 	"lzssfpga/internal/server"
 	"lzssfpga/internal/server/client"
 	"lzssfpga/internal/workload"
@@ -392,5 +395,63 @@ func TestServerErrorTextIsWrapped(t *testing.T) {
 	}
 	if !errors.Is(err, server.ErrTooLarge) {
 		t.Fatalf("not typed: %v", err)
+	}
+}
+
+// goneWriter is the ResponseWriter of a client that has gone away:
+// every body write fails.
+type goneWriter struct{ h http.Header }
+
+var errClientGone = errors.New("client went away")
+
+func (g *goneWriter) Header() http.Header       { return g.h }
+func (g *goneWriter) WriteHeader(int)           {}
+func (g *goneWriter) Write([]byte) (int, error) { return 0, errClientGone }
+
+// TestServerHTTPFailedWriteIsAnError: when the response body cannot be
+// written, both HTTP operations must trace the request as failed (the
+// slow-request log reports it at level=error with the write's error and
+// no bytes out) and must not count it in server_response_bytes.
+func TestServerHTTPFailedWriteIsAnError(t *testing.T) {
+	reg := obs.NewRegistry()
+	server.SetObservability(reg)
+	defer server.SetObservability(nil)
+	logged := &syncWriter{}
+	srv, err := server.New(server.Config{SlowLog: time.Nanosecond, Log: logged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close() //nolint:errcheck
+	plain := workload.Wiki(1200, 1)
+	var z bytes.Buffer
+	zw := zlib.NewWriter(&z)
+	if _, err := zw.Write(plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.HTTPHandler()
+	for _, tc := range []struct {
+		op   string
+		body []byte
+	}{{"compress", plain}, {"decompress", z.Bytes()}} {
+		before := len(logged.String())
+		h.ServeHTTP(&goneWriter{h: http.Header{}},
+			httptest.NewRequest(http.MethodPost, "/"+tc.op, bytes.NewReader(tc.body)))
+		line := logged.String()[before:]
+		for _, want := range []string{"level=error", " op=" + tc.op + " ", " out=0 ", ` err="`, `client went away"`} {
+			if !strings.Contains(line, want) {
+				t.Errorf("%s: log line lacks %q:\n%s", tc.op, want, line)
+			}
+		}
+	}
+	snap := reg.Snapshot()
+	count, ok := snap[obs.ServerResponseBytes+"_count"]
+	if !ok {
+		t.Fatalf("%s_count not in the registry snapshot", obs.ServerResponseBytes)
+	}
+	if count != 0 {
+		t.Fatalf("%s counted %v responses that never left", obs.ServerResponseBytes, count)
 	}
 }
