@@ -1,9 +1,8 @@
 package etherlink
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -61,14 +60,21 @@ func Segment(data []byte) ([]Frame, error) {
 	return frames, nil
 }
 
-// computeFCS covers the synthetic header (zero MACs, ethertype 0x88B5
-// local-experimental), the sequence word and the payload.
+// fcsSeed is the CRC state after the synthetic Ethernet-II header that
+// every FCS covers first: zero MACs and ethertype 0x88B5 (local
+// experimental).
+var fcsSeed = CRC32Update(0, []byte{12: 0x88, 13: 0xB5})
+
+// computeFCS covers the synthetic header, the big-endian sequence word
+// and the payload. The sequence word is folded a byte at a time here:
+// hash/crc32 calls through a function variable, so a word handed to it
+// from the stack would cost a heap allocation per frame.
 func (f Frame) computeFCS() uint32 {
-	var hdr [headerBytes + seqBytes]byte
-	hdr[12], hdr[13] = 0x88, 0xB5
-	binary.BigEndian.PutUint32(hdr[headerBytes:], f.Seq)
-	crc := CRC32Update(0, hdr[:])
-	return CRC32Update(crc, f.Payload)
+	c := ^fcsSeed
+	for shift := 24; shift >= 0; shift -= 8 {
+		c = crc32.IEEETable[byte(c)^byte(f.Seq>>shift)] ^ c>>8
+	}
+	return CRC32Update(^c, f.Payload)
 }
 
 // Verify checks the FCS.
@@ -90,7 +96,11 @@ func (f Frame) WireBytes() int {
 
 // Reassemble validates and reorders frames back into a data block of
 // the announced size (the testbench protocol sends the block length
-// ahead of the frames, so truncated transfers are detectable).
+// ahead of the frames, so truncated transfers are detectable). Frames
+// may arrive in any order; duplicate, out-of-range and missing
+// sequence numbers are rejected, and the chunks must add up to total.
+// Frame payloads may be views into the caller's receive buffer: the
+// block is copied out into a slice of its own.
 func Reassemble(frames []Frame, total int) ([]byte, error) {
 	if total == 0 {
 		// Segment encodes zero bytes as one empty frame: the empty
@@ -126,17 +136,17 @@ func Reassemble(frames []Frame, total int) ([]byte, error) {
 		}
 		ordered[f.Seq] = f
 	}
-	var buf bytes.Buffer
+	out := make([]byte, 0, total)
 	for i, f := range ordered {
 		if f == nil {
 			return nil, fmt.Errorf("etherlink: missing frame %d", i)
 		}
-		buf.Write(f.Payload)
+		out = append(out, f.Payload...)
 	}
-	if buf.Len() != total {
-		return nil, fmt.Errorf("etherlink: reassembled %d bytes, announced %d", buf.Len(), total)
+	if len(out) != total {
+		return nil, fmt.Errorf("etherlink: reassembled %d bytes, announced %d", len(out), total)
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
 // Link models the staging network: a point-to-point Ethernet at the

@@ -23,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 
 	"lzssfpga/internal/etherlink"
 	"lzssfpga/internal/obs"
@@ -81,6 +83,16 @@ const (
 	frameFCSLen   = 4
 	protocolMagic = "LZSD"
 	protocolVer   = 1
+)
+
+// maxFrameBuf bounds the codec's buffers: ReadMessage reserves no more
+// than this for a message's frames before they arrive, and WriteMessage
+// returns no larger encoding buffer to its pool. framesPerBuf is the
+// frame count such a reservation holds, the most frames ReadMessage
+// makes room for up front.
+const (
+	maxFrameBuf  = 1 << 20
+	framesPerBuf = maxFrameBuf / (frameHdrLen + etherlink.MaxChunk + frameFCSLen)
 )
 
 // Message ops.
@@ -157,40 +169,46 @@ type Message struct {
 	DictID string
 }
 
-// AppendMessage encodes m onto dst and returns the extended slice.
+// AppendMessage encodes m onto dst and returns the extended slice. dst
+// grows once, to the message's exact size; etherlink.Segment cuts the
+// payload and stamps each frame's FCS.
 func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	if len(m.Payload) > int(^uint32(0)) {
 		return nil, fmt.Errorf("server: %d-byte payload overflows the length field", len(m.Payload))
 	}
+	size := headerLen + len(m.Payload)
 	var flags byte
 	if m.TraceID != "" {
 		if len(m.TraceID) != obs.TraceIDLen {
 			return nil, fmt.Errorf("server: trace ID must be %d bytes, got %d", obs.TraceIDLen, len(m.TraceID))
 		}
 		flags |= flagTraceID
+		size += obs.TraceIDLen
 	}
 	if m.HasReqID {
 		flags |= flagReqID
+		size += 4
 	}
 	if m.DictID != "" {
 		if len(m.DictID) > maxDictIDLen {
 			return nil, fmt.Errorf("server: dictionary ID %q over the %d-byte field cap", m.DictID, maxDictIDLen)
 		}
 		flags |= flagDict
+		size += 1 + len(m.DictID)
 	}
-	var hdr [headerLen]byte
-	copy(hdr[0:4], protocolMagic)
-	hdr[4] = protocolVer
-	hdr[5] = m.Op
-	hdr[6] = m.Status
-	hdr[7] = flags
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(m.Payload)))
-	binary.BigEndian.PutUint32(hdr[12:16], etherlink.CRC32Update(0, hdr[0:12]))
-	dst = append(dst, hdr[:]...)
+	frames, err := etherlink.Segment(m.Payload)
+	if err != nil {
+		return nil, err
+	}
+	size += len(frames) * (frameHdrLen + frameFCSLen)
+	dst = slices.Grow(dst, size)
+	start := len(dst)
+	dst = append(dst, protocolMagic...)
+	dst = append(dst, protocolVer, m.Op, m.Status, flags)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
+	dst = binary.BigEndian.AppendUint32(dst, etherlink.CRC32Update(0, dst[start:]))
 	if flags&flagReqID != 0 {
-		var rb [4]byte
-		binary.BigEndian.PutUint32(rb[:], m.ReqID)
-		dst = append(dst, rb[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, m.ReqID)
 	}
 	if flags&flagTraceID != 0 {
 		dst = append(dst, m.TraceID...)
@@ -199,31 +217,32 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 		dst = append(dst, byte(len(m.DictID)))
 		dst = append(dst, m.DictID...)
 	}
-	frames, err := etherlink.Segment(m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	var fh [frameHdrLen]byte
-	var ft [frameFCSLen]byte
 	for _, f := range frames {
-		binary.BigEndian.PutUint32(fh[0:4], f.Seq)
-		binary.BigEndian.PutUint16(fh[4:6], uint16(len(f.Payload)))
-		dst = append(dst, fh[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, f.Seq)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.Payload)))
 		dst = append(dst, f.Payload...)
-		binary.BigEndian.PutUint32(ft[:], f.FCS)
-		dst = append(dst, ft[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, f.FCS)
 	}
 	return dst, nil
 }
 
+// writeBufs recycles WriteMessage's encoding buffers.
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // WriteMessage encodes m onto w in one Write call (so a message is
 // never interleaved with another writer's bytes on the same socket).
 func WriteMessage(w io.Writer, m *Message) error {
-	buf, err := AppendMessage(nil, m)
-	if err != nil {
-		return err
+	bp := writeBufs.Get().(*[]byte)
+	buf, err := AppendMessage((*bp)[:0], m)
+	if err == nil {
+		_, err = w.Write(buf)
+		// A rare large message's buffer goes to the collector rather
+		// than staying pinned in the pool.
+		if cap(buf) <= maxFrameBuf {
+			*bp = buf
+		}
 	}
-	_, err = w.Write(buf)
+	writeBufs.Put(bp)
 	return err
 }
 
@@ -236,16 +255,18 @@ func WriteMessage(w io.Writer, m *Message) error {
 // match ErrTooLarge, and return the header parsed so far (op, status
 // and request ID, no payload) alongside the error, so a server can
 // stamp its rejection with the request ID a pipelined client matches
-// responses by.
+// responses by. The returned payload is the caller's own.
 func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header and its optional fields share one small buffer, which
+	// the header CRC then runs over.
+	hdr := make([]byte, headerLen, headerLen+4+obs.TraceIDLen+1+maxDictIDLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: truncated header: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 	}
-	if !bytes.Equal(hdr[0:4], []byte(protocolMagic)) {
+	if string(hdr[0:4]) != protocolMagic {
 		return nil, corruptf("bad magic %q", hdr[0:4])
 	}
 	if hdr[4] != protocolVer {
@@ -266,11 +287,10 @@ func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
 	var reqID uint32
 	hasReqID := flags&flagReqID != 0
 	if hasReqID {
-		var rb [4]byte
-		if _, err := io.ReadFull(r, rb[:]); err != nil {
+		if _, err := readMore(r, &hdr, 4); err != nil {
 			return nil, fmt.Errorf("%w: truncated request ID: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}
-		reqID = binary.BigEndian.Uint32(rb[:])
+		reqID = binary.BigEndian.Uint32(hdr[headerLen:])
 	}
 	if maxPayload >= 0 && uint64(total) > uint64(maxPayload) {
 		hdrOnly := &Message{Op: op, Status: hdr[6], ReqID: reqID, HasReqID: hasReqID}
@@ -278,62 +298,90 @@ func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
 	}
 	var traceID string
 	if flags&flagTraceID != 0 {
-		var tb [obs.TraceIDLen]byte
-		if _, err := io.ReadFull(r, tb[:]); err != nil {
+		off := len(hdr)
+		if _, err := readMore(r, &hdr, obs.TraceIDLen); err != nil {
 			return nil, fmt.Errorf("%w: truncated trace ID: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}
-		traceID = string(tb[:])
+		traceID = string(hdr[off:])
 	}
 	var dictID string
 	if flags&flagDict != 0 {
-		var lb [1]byte
-		if _, err := io.ReadFull(r, lb[:]); err != nil {
+		off := len(hdr)
+		if _, err := readMore(r, &hdr, 1); err != nil {
 			return nil, fmt.Errorf("%w: truncated dictionary-ID length: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}
-		n := int(lb[0])
+		n := int(hdr[off])
 		if n == 0 || n > maxDictIDLen {
 			return nil, corruptf("dictionary-ID length %d out of [1,%d]", n, maxDictIDLen)
 		}
-		db := make([]byte, n)
-		if _, err := io.ReadFull(r, db); err != nil {
+		if _, err := readMore(r, &hdr, n); err != nil {
 			return nil, fmt.Errorf("%w: truncated dictionary ID: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 		}
-		dictID = string(db)
+		dictID = string(hdr[off+1:])
 	}
-	nFrames := (int(total) + etherlink.MaxChunk - 1) / etherlink.MaxChunk
-	if nFrames == 0 {
-		nFrames = 1
+	payload, err := readFrames(r, int(total))
+	if err != nil {
+		return nil, err
 	}
-	frames := make([]etherlink.Frame, 0, nFrames)
+	return &Message{Op: op, Status: hdr[6], Payload: payload, TraceID: traceID, ReqID: reqID, HasReqID: hasReqID, DictID: dictID}, nil
+}
+
+// readFrames reads the ceil(total/MaxChunk) frames of a total-byte
+// payload (one empty frame for an empty payload) into one buffer and
+// reassembles them. The buffer starts at the frame area the header
+// announces, capped at maxFrameBuf, and past that grows only as bytes
+// arrive, so a header alone cannot make the parser allocate what it
+// announces.
+func readFrames(r io.Reader, total int) ([]byte, error) {
+	nFrames := max(1, (total+etherlink.MaxChunk-1)/etherlink.MaxChunk)
+	buf := make([]byte, 0, min(total+nFrames*(frameHdrLen+frameFCSLen), maxFrameBuf))
+	frames := make([]etherlink.Frame, 0, min(nFrames, framesPerBuf))
 	for i := 0; i < nFrames; i++ {
-		var fh [frameHdrLen]byte
-		if _, err := io.ReadFull(r, fh[:]); err != nil {
+		off := len(buf)
+		if _, err := readMore(r, &buf, frameHdrLen); err != nil {
 			return nil, fmt.Errorf("%w: truncated frame %d header: %w", ErrCorrupt, i, io.ErrUnexpectedEOF)
 		}
-		seq := binary.BigEndian.Uint32(fh[0:4])
-		chunkLen := int(binary.BigEndian.Uint16(fh[4:6]))
+		chunkLen := int(binary.BigEndian.Uint16(buf[off+4:]))
 		if chunkLen > etherlink.MaxChunk {
 			return nil, corruptf("frame %d: %d-byte chunk over the %d MTU budget", i, chunkLen, etherlink.MaxChunk)
 		}
-		chunk := make([]byte, chunkLen)
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d chunk: %w", ErrCorrupt, i, io.ErrUnexpectedEOF)
+		if n, err := readMore(r, &buf, chunkLen+frameFCSLen); err != nil {
+			part := "FCS"
+			if n < chunkLen {
+				part = "chunk"
+			}
+			return nil, fmt.Errorf("%w: truncated frame %d %s: %w", ErrCorrupt, i, part, io.ErrUnexpectedEOF)
 		}
-		var ft [frameFCSLen]byte
-		if _, err := io.ReadFull(r, ft[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d FCS: %w", ErrCorrupt, i, io.ErrUnexpectedEOF)
-		}
-		frames = append(frames, etherlink.Frame{Seq: seq, Payload: chunk, FCS: binary.BigEndian.Uint32(ft[:])})
+		frames = append(frames, etherlink.Frame{
+			Seq: binary.BigEndian.Uint32(buf[off:]),
+			FCS: binary.BigEndian.Uint32(buf[len(buf)-frameFCSLen:]),
+		})
+	}
+	// The buffer may have moved while it grew, so the payload views are
+	// taken once every frame is in.
+	off := 0
+	for i := range frames {
+		n := int(binary.BigEndian.Uint16(buf[off+4:]))
+		frames[i].Payload = buf[off+frameHdrLen : off+frameHdrLen+n]
+		off += frameHdrLen + n + frameFCSLen
 	}
 	// Reassemble is the etherlink receive path: it verifies every FCS
 	// and rejects duplicate, out-of-range and missing sequence numbers,
 	// so the TCP front enforces exactly the frame discipline the
-	// paper's staging link does.
-	payload, err := etherlink.Reassemble(frames, int(total))
+	// paper's staging link does. It copies the payload out of buf.
+	payload, err := etherlink.Reassemble(frames, total)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	return &Message{Op: op, Status: hdr[6], Payload: payload, TraceID: traceID, ReqID: reqID, HasReqID: hasReqID, DictID: dictID}, nil
+	return payload, nil
+}
+
+// readMore reads n more bytes from r onto the end of *buf, growing it
+// as needed, and returns how many of them arrived.
+func readMore(r io.Reader, buf *[]byte, n int) (int, error) {
+	off := len(*buf)
+	*buf = slices.Grow(*buf, n)[:off+n]
+	return io.ReadFull(r, (*buf)[off:])
 }
 
 // ParseMessage decodes one message from a byte slice (the fuzz entry
