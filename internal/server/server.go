@@ -370,8 +370,13 @@ func (s *Server) serveTCP(r Reply, msg *Message) {
 		s.finishRequest(rt, time.Since(svcStart), 0)
 		return
 	}
-	rt.SetErr(respond(r, rt, StatusOK, out))
-	s.finishRequest(rt, time.Since(svcStart), int64(len(out)))
+	sent := int64(len(out))
+	if err := respond(r, rt, StatusOK, out); err != nil {
+		// The response never left: trace the failure, with no bytes out.
+		rt.SetErr(err)
+		sent = 0
+	}
+	s.finishRequest(rt, time.Since(svcStart), sent)
 }
 
 // respond answers r stamped with rt's trace ID and charges the write

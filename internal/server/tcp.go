@@ -359,11 +359,9 @@ func (f *TCPFront) serveConn(tc *tcpConn) {
 // completing pipelined responses from interleaving on the socket. A
 // failed write leaves the outbound stream desynced mid-message, so it
 // breaks the connection: the read loop is woken and takes no further
-// request.
+// request. Only a StatusOK payload that was written counts in
+// server_response_bytes, as on the HTTP front.
 func (f *TCPFront) write(tc *tcpConn, req *Message, status byte, payload []byte, traceID string) error {
-	if k := srvObs.Load(); k != nil {
-		k.responseBytes.Observe(int64(len(payload)))
-	}
 	resp := &Message{Op: OpResponse, Status: status, Payload: payload, TraceID: traceID}
 	if req != nil {
 		resp.ReqID, resp.HasReqID = req.ReqID, req.HasReqID
@@ -379,8 +377,12 @@ func (f *TCPFront) write(tc *tcpConn, req *Message, status byte, payload []byte,
 		countError()
 		tc.broken.Store(true)
 		tc.poke()
+		return err
 	}
-	return err
+	if k := srvObs.Load(); k != nil && status == StatusOK {
+		k.responseBytes.Observe(int64(len(payload)))
+	}
+	return nil
 }
 
 func countError() {
