@@ -3,7 +3,8 @@
 # vet and short tests, the full test suite under
 # the race detector (including the observability stress test, the
 # fault-injection matrix, the engine soak and the engine goroutine-leak
-# check, and the server e2e/drain/soak suite), the cache stampede soak
+# check, the server e2e/drain/soak suite and the frame codec's pin,
+# differential and allocation gate), the cache stampede soak
 # and the preset-dictionary round-trip gate, the cluster kill/drain
 # chaos gate, the inflate drivers gate, the metric names-drift
 # guard, coverage floors on the serving (lzssd and the cluster front)
@@ -113,6 +114,16 @@ echo "== server e2e + drain + soak (race) =="
 # The TestServerDrain tests are tables over both framed fronts: lzssd
 # and a cluster front over one lzssd backend.
 race_gate 'TestServerE2E|TestServerDrain|TestServerSoak' ./internal/server
+
+echo "== frame codec gate (race) =="
+# The framed-TCP codec under every framed hop (client.Mux, lzssd's
+# TCPFront, the cluster front): AppendMessage's bytes pinned by digest,
+# ReadMessage held to a frame-by-frame etherlink.Reassemble reference
+# on the corpus and on damaged and re-chunked messages, a bare header
+# announcing 64 MiB allocating under 2 MiB, the round-trip and
+# rejection tables, cap rejections keeping the request ID, and a failed
+# response write traced as an error and never counted as a response.
+race_gate 'TestWireBytesPinned|TestReadMessageMatchesReassemble|TestReadMessageHeaderAllocBound|TestServerTCPFailedWriteIsAnError|TestMessageRoundTrip|TestParseMessageRejections|TestReadMessageCapRejectionKeepsReqID' ./internal/server
 
 echo "== cache stampede soak (race) =="
 # 64 concurrent clients request the same hot block through real sockets;

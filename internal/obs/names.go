@@ -152,7 +152,8 @@ const (
 	// failures to a vanished client.
 	ServerErrors = "server_errors_total"
 	// ServerRequestBytes / ServerResponseBytes bucket per-request
-	// payload sizes in bytes.
+	// payload sizes in bytes; a response counts once its StatusOK (HTTP
+	// 200) payload was written.
 	ServerRequestBytes  = "server_request_bytes"
 	ServerResponseBytes = "server_response_bytes"
 	// ServerDrainNs is the wall time the last graceful drain took.
