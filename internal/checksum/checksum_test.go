@@ -42,6 +42,71 @@ func TestAdlerIncrementalAndCount(t *testing.T) {
 	}
 }
 
+// specAdler32Update is the oracle: RFC 1950's sample loop, both sums
+// reduced after every byte. s is a running checksum, 1 to start.
+func specAdler32Update(s uint32, data []byte) uint32 {
+	const base = 65521
+	a, b := s&0xFFFF, s>>16
+	for _, c := range data {
+		a = (a + uint32(c)) % base
+		b = (b + a) % base
+	}
+	return b<<16 | a
+}
+
+// TestAdlerMatchesSpec checks Adler32Sum and the streaming Adler32,
+// whole and split across writes, against the byte-wise oracle at every
+// short length, around the 5,552-byte block within which the sums
+// cannot overflow, and on a megabyte of 0xFF, the input that drives the
+// sums fastest toward overflow, each at three alignments. It anchors the
+// oracle to the standard example value.
+func TestAdlerMatchesSpec(t *testing.T) {
+	if got := specAdler32Update(1, []byte("Wikipedia")); got != 0x11E60398 {
+		t.Fatalf("oracle check value %08x, want 11e60398", got)
+	}
+	rng := rand.New(rand.NewSource(5))
+	random := make([]byte, 65536+7)
+	rng.Read(random)
+	ones := make([]byte, 1<<20+7)
+	for i := range ones {
+		ones[i] = 0xFF
+	}
+	type input struct {
+		data []byte
+		n    int
+	}
+	var inputs []input
+	for n := 0; n <= 300; n++ {
+		inputs = append(inputs, input{random, n})
+	}
+	for _, n := range []int{5551, 5552, 5553, 65536} {
+		inputs = append(inputs, input{random, n})
+	}
+	inputs = append(inputs, input{ones, 1 << 20})
+	for _, in := range inputs {
+		for _, off := range []int{0, 1, 7} {
+			p := in.data[off : off+in.n]
+			want := specAdler32Update(1, p)
+			if got := Adler32Sum(p); got != want {
+				t.Fatalf("n=%d off=%d: adler %08x, oracle %08x", in.n, off, got, want)
+			}
+			h := NewAdler32()
+			h.Write(p)
+			if got := h.Sum32(); got != want {
+				t.Fatalf("n=%d off=%d: streaming adler %08x, oracle %08x", in.n, off, got, want)
+			}
+			h = NewAdler32()
+			cut1, cut2 := in.n/3, 2*in.n/3+1
+			for _, q := range [][]byte{p[:cut1], p[cut1:min(cut2, in.n)], p[min(cut2, in.n):]} {
+				h.Write(q)
+			}
+			if got := h.Sum32(); got != want {
+				t.Fatalf("n=%d off=%d: split adler %08x, oracle %08x", in.n, off, got, want)
+			}
+		}
+	}
+}
+
 func TestCRCMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 64, 65536} {
