@@ -102,10 +102,14 @@ echo "== inflate drivers gate (race) =="
 # streams and the repo's serial, parallel, stream, stored and
 # dictionary outputs decode byte-identically through InflateLimited,
 # StreamInflater at several Read sizes, ParseCommands + token.Expand,
-# ZlibDecompressDict and compress/flate; plus the two code-validity
+# ZlibDecompressDict and compress/flate; the two code-validity
 # regressions (an empty distance code is valid, an incomplete code is
-# not).
-race_gate 'TestInflateDriversAgree|TestInflateAcceptsEmptyDistanceCode|TestInflateRejectsIncompleteCode' ./internal/deflate
+# not); the fast symbol loop's edges (matches of distance 1-9 and every
+# length across its output margin, real streams under every limit up to
+# 300 bytes short of their size and at Read sizes 1-17 and 4,093, and
+# its errors read as the careful loop's); and the output growth bound
+# (capacity within the margin of the limit, allocations within 3x).
+race_gate 'TestInflateDriversAgree|TestInflateAcceptsEmptyDistanceCode|TestInflateRejectsIncompleteCode|TestInflateFastLoopEdges|TestInflateOutputGrowthBounded' ./internal/deflate
 
 echo "== engine goroutine-leak check (race) =="
 race_gate TestEngineCloseLeavesNoWorkers ./internal/engine

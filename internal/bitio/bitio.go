@@ -201,6 +201,21 @@ func (br *Reader) more() bool {
 	return n > 0
 }
 
+// State hands out the Reader's state for a decoder that keeps it in
+// locals: the bit buffer, the number of bits it holds, and the input
+// not yet moved into it. The decoder hands the state back with
+// SetState before it uses the Reader again.
+func (br *Reader) State() (acc uint64, nAcc uint, src []byte) {
+	return br.acc, br.nAcc, br.src
+}
+
+// SetState takes back a state State handed out. src must be a suffix of
+// the input State returned, and acc and nAcc must keep the bit buffer's
+// invariant: bits above nAcc are zero or the stream's next bits.
+func (br *Reader) SetState(acc uint64, nAcc uint, src []byte) {
+	br.acc, br.nAcc, br.src = acc, nAcc, src
+}
+
 // Peek returns the buffered bits, LSB-first. Past the end of the input
 // the bits above Buffered are zero.
 func (br *Reader) Peek() uint64 { return br.acc }

@@ -9,6 +9,7 @@ import (
 
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/token"
+	"lzssfpga/internal/workload"
 )
 
 // Native fuzz targets (run as seed-corpus tests under `go test`, and as
@@ -28,6 +29,23 @@ func FuzzInflate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0x00, 0xFF, 0xFF})
 	f.Add([]byte{0x78, 0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x01})
+	// Fixed and dynamic streams of wiki text reach the fast symbol loop,
+	// which needs 8 bytes of input and fastMargin bytes of output room,
+	// so mutation reaches its literal pairs, word copies and short
+	// overlapping copies.
+	for _, n := range []int{2 << 10, 4 << 10} {
+		cmds, _, err := lzss.Compress(workload.Wiki(n, 1), lzss.HWSpeedParams())
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, enc := range []func([]token.Command) ([]byte, error){FixedDeflate, DynamicDeflate} {
+			body, err := enc(cmds)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limited := func(name string, dec func([]byte, DecodeLimits) ([]byte, error), lim DecodeLimits) ([]byte, error) {
 			t.Helper()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"lzssfpga/internal/bitio"
 	"lzssfpga/internal/token"
@@ -252,11 +251,16 @@ func (f *inflater) inflate(out []byte, stop int) ([]byte, error) {
 func inflateAll(data, hist []byte, lim DecodeLimits) ([]byte, error) {
 	f := newInflater(bitio.NewReaderBytes(data), lim, len(hist))
 	// Room for 3x expansion, above the 1.84-2.49x the repository's
-	// benchmark workloads measure, spares their streams the append
-	// regrowths, which cost more time and allocate more bytes in all
-	// than the unused headroom does. A stream that expands more grows
-	// the slice as it goes.
-	out := make([]byte, 0, len(hist)+min(f.maxOut-len(hist), 3*len(data)+8))
+	// benchmark workloads measure, spares their streams any regrowth,
+	// which costs more time and allocates more bytes in all than the
+	// unused headroom does. A stream that expands more grows the slice
+	// as it goes; one held to a tighter limit gets room for the limit
+	// and the fast loop's margin, so it never grows.
+	room := 3*len(data) + 8
+	if lim := f.maxOut - len(hist); lim < room {
+		room = lim + fastMargin
+	}
+	out := make([]byte, 0, len(hist)+room)
 	out, err := f.inflate(append(out, hist...), math.MaxInt)
 	if err != nil {
 		return nil, err
@@ -382,7 +386,7 @@ func (f *inflater) storedBytes(out []byte, stop int) ([]byte, error) {
 	}
 	at := len(out)
 	n := min(f.stored, stop-at)
-	out = slices.Grow(out, n)[:at+n]
+	out = f.grow(out, n)[:at+n]
 	if err := f.br.ReadBytes(out[at:]); err != nil {
 		return out[:at], err
 	}
@@ -397,6 +401,27 @@ func (f *inflater) storedBytes(out []byte, stop int) ([]byte, error) {
 	return out, nil
 }
 
+// fastMargin is the output room the fast loop keeps ahead of it: the
+// longest match and the word copies' slack past its end.
+const fastMargin = token.MaxMatch + 8
+
+// grow returns out with room for need more bytes, where the caller has
+// checked that len(out)+need leaves at most 8 bytes of slack past
+// maxOut. It is the output's one growth step: at least double, capped at
+// maxOut plus fastMargin, so the output allocations of a decode add up
+// to about three times its limit and its capacity ends within
+// fastMargin of it.
+func (f *inflater) grow(out []byte, need int) []byte {
+	if need <= cap(out)-len(out) {
+		return out
+	}
+	c := max(2*cap(out), len(out)+need)
+	if c-f.maxOut > fastMargin {
+		c = f.maxOut + fastMargin
+	}
+	return append(make([]byte, 0, c), out...)
+}
+
 // copyBits is the most bits a match takes after its length code: the
 // length's extra bits, a distance code and the distance's extra bits.
 // symbols refills before a literal/length code and again, if fewer bits
@@ -406,9 +431,17 @@ const copyBits = 5 + maxCodeLen + 13
 // symbols decodes a Huffman block's literals and matches into out
 // until the end-of-block symbol or until len(out) reaches stop. A match
 // starting before stop may end up to token.MaxMatch-1 bytes past it.
+// fast decodes every symbol for which the input and the output have
+// room; this loop decodes the symbols at the edges, records commands
+// for ParseCommands, and reports every error.
 func (f *inflater) symbols(out []byte, stop int) ([]byte, error) {
 	br, lit, dist, record, maxOut := f.br, f.lit, f.dist, f.record, f.maxOut
 	for len(out) < stop {
+		if !record {
+			if out = f.fast(out, stop); len(out) >= stop {
+				break
+			}
+		}
 		if br.Buffered() < maxCodeLen {
 			br.Refill()
 		}
@@ -420,7 +453,7 @@ func (f *inflater) symbols(out []byte, stop int) ([]byte, error) {
 			if len(out) >= maxOut {
 				return out, errOutputLimit(f.lim)
 			}
-			out = append(out, byte(sym))
+			out = append(f.grow(out, 1), byte(sym))
 			if record {
 				f.cmds = append(f.cmds, token.Lit(byte(sym)))
 			}
@@ -460,7 +493,10 @@ func (f *inflater) symbols(out []byte, stop int) ([]byte, error) {
 		if len(out)+length > maxOut {
 			return out, errOutputLimit(f.lim)
 		}
-		out = appendCopy(out, d, length)
+		at := len(out)
+		out = f.grow(out, length+8)
+		copyMatch(out[:cap(out)], at, d, length)
+		out = out[:at+length]
 		if record {
 			f.cmds = append(f.cmds, token.Copy(d, length))
 		}
@@ -468,27 +504,94 @@ func (f *inflater) symbols(out []byte, stop int) ([]byte, error) {
 	return out, nil
 }
 
-// appendCopy appends the length bytes that start d bytes before the end
-// of out. With d >= 8 and spare capacity it moves eight bytes at a
-// time, each word read from bytes already final, and may scribble up to
-// seven bytes past the new end. Otherwise the copy may overlap its own
-// output, so it goes in runs of at most the bytes copied so far.
-func appendCopy(out []byte, d, length int) []byte {
-	n := len(out)
-	end := n + length
-	out = slices.Grow(out, length)[:end]
-	src := n - d
-	if d >= 8 && end+8 <= cap(out) {
-		w := out[:end+8]
-		for dst := n; dst < end; dst, src = dst+8, src+8 {
-			binary.LittleEndian.PutUint64(w[dst:], binary.LittleEndian.Uint64(w[src:]))
+// fast is symbols' inner loop, in the shape of zlib's inflate_fast. It
+// runs while at least 8 input bytes remain and out has fastMargin bytes
+// of room under both its capacity and maxOut, so no symbol can run out
+// of bits or of room. The bit buffer and the unread input live in
+// locals, a whole word is refilled before every symbol, and bytes are
+// written by index. A match is decoded from the bit buffer before any of
+// it is consumed, so fast leaves every symbol it does not decode, the
+// end of the block and every error among them, unconsumed for symbols.
+func (f *inflater) fast(out []byte, stop int) []byte {
+	acc, nAcc, in := f.br.State()
+	lit, dist := f.lit, f.dist
+	end := min(stop, cap(out)-fastMargin, f.maxOut-fastMargin)
+	buf, at := out[:cap(out)], len(out)
+	// Every shift count below is masked to 63, which it never exceeds,
+	// so the compiler drops its guard for counts of 64 and more.
+	for at < end && len(in) >= 8 {
+		acc |= binary.LittleEndian.Uint64(in) << (nAcc & 63)
+		in = in[(63-nAcc)>>3:]
+		nAcc |= 56
+		e := lit.entry(acc)
+		sym := int(e >> 8)
+		if sym < 256 {
+			if e&entryLen == entryNone {
+				break
+			}
+			n := uint(e) & 63
+			acc >>= n
+			nAcc -= n
+			buf[at] = byte(sym)
+			at++
+			// A second literal from the same refill: at least 41 of
+			// the 56 bits remain, and a code is at most 15.
+			if e = lit.entry(acc); e>>8 < 256 && e&entryLen != entryNone {
+				n = uint(e) & 63
+				acc >>= n
+				nAcc -= n
+				buf[at] = byte(e >> 8)
+				at++
+			}
+			continue
 		}
-		return out
+		if sym == endOfBlock || sym > maxLitLen {
+			break
+		}
+		// The refill covers the whole match: a 15-bit length code, 5
+		// extra bits, a 15-bit distance code and 13 extra bits. n counts
+		// the match's bits.
+		n := uint(e) & 63
+		nb := uint(lengthExtra[sym-257]) & 63
+		length := int(lengthBase[sym-257]) + int(acc>>n&(1<<nb-1))
+		n += nb
+		e = dist.entry(acc >> (n & 63))
+		dsym := int(e >> 8)
+		if e&entryLen == entryNone || dsym >= numDistSym {
+			break
+		}
+		n += uint(e) & 63
+		nb = uint(distExtra[dsym]) & 63
+		d := int(distBase[dsym]) + int(acc>>(n&63)&(1<<nb-1))
+		if d > at {
+			break
+		}
+		n += nb
+		acc >>= n & 63
+		nAcc -= n
+		copyMatch(buf, at, d, length)
+		at += length
 	}
-	for dst := n; dst < end; {
-		dst += copy(out[dst:end], out[src:dst])
+	f.br.SetState(acc, nAcc, in)
+	return out[:at]
+}
+
+// copyMatch writes the length bytes that start d bytes before b[n] to
+// b[n:], and may write up to seven bytes past them, so b needs that
+// room. With d >= 8 it moves eight bytes at a time, each word read from
+// bytes already final. A shorter distance overlaps its own output, so
+// the copy goes in runs of at most the bytes copied so far.
+func copyMatch(b []byte, n, d, length int) {
+	src, end := n-d, n+length
+	if d >= 8 {
+		for ; n < end; n, src = n+8, src+8 {
+			binary.LittleEndian.PutUint64(b[n:], binary.LittleEndian.Uint64(b[src:]))
+		}
+		return
 	}
-	return out
+	for n < end {
+		n += copy(b[n:end], b[src:n])
+	}
 }
 
 // Inflate decodes a complete raw Deflate stream under

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"lzssfpga/internal/bitio"
@@ -298,6 +300,189 @@ func TestInflateDriversAgree(t *testing.T) {
 			if err != nil || !bytes.Equal(out, want) {
 				t.Errorf("%s/%s: ZlibDecompressDict: %v", name, sname, err)
 			}
+		}
+	}
+}
+
+// TestInflateFastLoopEdges drives streams across the edges of the fast
+// symbol loop, where decoding passes to the careful loop and back, and
+// holds every output to compress/flate's. Wiki and CAN streams, fixed,
+// dynamic and preset-dictionary, decode under every output limit from
+// 300 bytes short of their size to their size, and the raw ones through
+// StreamInflater, whose window ends a chunk every 64 KiB, at many Read
+// sizes. Hand-built streams put a match of every distance 1-9 and
+// length 3-258 just before and at the point where the output margin
+// ends the fast loop under a limit of exactly the stream's size. Last,
+// every error the fast loop can meet must read as it does from the
+// careful loop alone, which is all ParseCommands runs.
+func TestInflateFastLoopEdges(t *testing.T) {
+	p := lzss.HWSpeedParams()
+	dict := workload.Wiki(32<<10, 2)
+	limits := func(name string, want []byte, dec func(DecodeLimits) ([]byte, error)) {
+		t.Helper()
+		for m := len(want) - 300; m <= len(want); m++ {
+			out, err := dec(DecodeLimits{MaxOutputBytes: m})
+			switch {
+			case m < len(want) && !errors.Is(err, ErrLimit):
+				t.Fatalf("%s under a %d-byte limit: %d bytes, %v; want ErrLimit", name, m, len(out), err)
+			case m == len(want) && (err != nil || !bytes.Equal(out, want)):
+				t.Fatalf("%s under its exact limit: %d bytes unlike compress/flate's %d, %v", name, len(out), len(want), err)
+			}
+		}
+	}
+	for _, corpus := range []struct {
+		name string
+		gen  workload.Generator
+	}{{"wiki", workload.Wiki}, {"can", workload.CAN}} {
+		// The limit sweep decodes a short stream 301 times; StreamInflater
+		// decodes a stream long enough to end two chunks.
+		for _, n := range []int{16 << 10, 70 << 10} {
+			data := corpus.gen(n, 3)
+			cmds, _, err := lzss.Compress(data, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fixed, err := FixedDeflate(cmds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dynamic, err := DynamicDeflate(cmds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kind, body := range map[string][]byte{"fixed": fixed, "dynamic": dynamic} {
+				name := fmt.Sprintf("%s/%s/%d", corpus.name, kind, n)
+				want, err := flateInflate(body)
+				if err != nil || !bytes.Equal(want, data) {
+					t.Fatalf("%s: compress/flate: %v", name, err)
+				}
+				if n < 64<<10 {
+					limits(name, want, func(lim DecodeLimits) ([]byte, error) { return InflateLimited(body, lim) })
+					continue
+				}
+				for _, size := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 4093} {
+					out, err := readAllSized(NewStreamInflater(bytes.NewReader(body)), size)
+					if err != nil || !bytes.Equal(out, want) {
+						t.Fatalf("%s: StreamInflater at %d-byte reads: %d bytes unlike compress/flate's %d, %v", name, size, len(out), len(want), err)
+					}
+				}
+			}
+		}
+		data := corpus.gen(16<<10, 3)
+		z, err := ZlibCompressDict(data, dict, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := io.ReadAll(flate.NewReaderDict(bytes.NewReader(z[6:len(z)-4]), dict))
+		if err != nil || !bytes.Equal(want, data) {
+			t.Fatalf("%s/dict: compress/flate: %v", corpus.name, err)
+		}
+		limits(corpus.name+"/dict", want, func(lim DecodeLimits) ([]byte, error) {
+			return ZlibDecompressDictLimited(z, dict, lim)
+		})
+	}
+
+	prefix := make([]byte, 1000)
+	rand.New(rand.NewSource(7)).Read(prefix)
+	for d := 1; d <= 9; d++ {
+		for length := token.MinMatch; length <= token.MaxMatch; length++ {
+			// The match starts one byte before the fast loop's last
+			// output position, then at it.
+			for _, before := range []int{1, 0} {
+				var cmds []token.Command
+				for _, b := range prefix {
+					cmds = append(cmds, token.Lit(b))
+				}
+				cmds = append(cmds, token.Copy(d, length))
+				for i := 0; i < fastMargin+before-length; i++ {
+					cmds = append(cmds, token.Lit(prefix[i]))
+				}
+				data, err := token.Expand(cmds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := FixedDeflate(cmds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("d=%d length=%d before=%d", d, length, before)
+				want, err := flateInflate(body)
+				if err != nil || !bytes.Equal(want, data) {
+					t.Fatalf("%s: compress/flate: %v", name, err)
+				}
+				// Unlimited, the end of the input ends the fast loop
+				// instead, within a few symbols of the longest matches.
+				for _, m := range []int{len(data), 0} {
+					out, err := InflateLimited(body, DecodeLimits{MaxOutputBytes: m})
+					if err != nil || !bytes.Equal(out, want) {
+						t.Fatalf("%s under a %d-byte limit: %d bytes unlike compress/flate's %d, %v", name, m, len(out), len(want), err)
+					}
+				}
+				if _, err := InflateLimited(body, DecodeLimits{MaxOutputBytes: len(data) - 1}); !errors.Is(err, ErrLimit) {
+					t.Fatalf("%s one byte under its size: %v; want ErrLimit", name, err)
+				}
+			}
+		}
+	}
+
+	// Each bad symbol follows 1,000 literals and precedes 1 KiB of
+	// zeros, which give the output a first reservation large enough
+	// that the fast loop meets the symbol.
+	pad := make([]byte, 1<<10)
+	fixedLens := fixedLitLenLengths()
+	fixedCodes := canonicalCodesInto(nil, fixedLens)
+	fixedBlock := func(bad func(bw *bitio.Writer)) []byte {
+		bw := bitio.NewWriter(nil)
+		bw.WriteBool(true)
+		bw.WriteBits(1, 2)
+		for _, b := range prefix {
+			sym(bw, fixedCodes, fixedLens, int(b))
+		}
+		bad(bw)
+		bw.WriteBytes(pad)
+		return flushBits(bw)
+	}
+	match := func(dsym uint32, extra uint) func(bw *bitio.Writer) {
+		return func(bw *bitio.Writer) {
+			sym(bw, fixedCodes, fixedLens, 257)
+			bw.WriteBitsRev(dsym, 5)
+			bw.WriteBits(1<<extra-1, extra)
+		}
+	}
+	noDist := litLens(map[int]uint8{'a': 2, 'b': 2, endOfBlock: 2, 257: 2})
+	onlyA := litLens(map[int]uint8{'a': 1})
+	for _, c := range []struct {
+		name, text string
+		body       []byte
+	}{
+		{"symbol 286", "literal/length symbol 286", fixedBlock(func(bw *bitio.Writer) { sym(bw, fixedCodes, fixedLens, 286) })},
+		{"symbol 287", "literal/length symbol 287", fixedBlock(func(bw *bitio.Writer) { sym(bw, fixedCodes, fixedLens, 287) })},
+		{"distance symbol 30", "distance symbol 30", fixedBlock(match(30, 0))},
+		{"distance symbol 31", "distance symbol 31", fixedBlock(match(31, 0))},
+		{"distance past the output", "distance 32768 exceeds output 1000", fixedBlock(match(29, 13))},
+		{"empty distance code", errBadCode.Error(), dynamicBlock(noDist, []uint8{0}, 4, func(bw *bitio.Writer, lc, _ []uint16) {
+			for _, b := range prefix {
+				sym(bw, lc, noDist, 'a'+int(b&1))
+			}
+			sym(bw, lc, noDist, 257)
+			bw.WriteBytes(pad)
+		})},
+		// A single code of length 1 leaves half the table unmatched:
+		// a 1 bit after a run of 'a's (0 bits) starts no code.
+		{"no code", errBadCode.Error(), dynamicBlock(onlyA, []uint8{1}, 4, func(bw *bitio.Writer, lc, _ []uint16) {
+			for range prefix {
+				sym(bw, lc, onlyA, 'a')
+			}
+			bw.WriteBits(1, 1)
+			bw.WriteBytes(pad)
+		})},
+	} {
+		_, err := InflateLimited(c.body, DefaultDecodeLimits())
+		_, want := ParseCommands(c.body)
+		if err == nil || want == nil || err.Error() != want.Error() || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: fast loop %v; careful loop %v", c.name, err, want)
+		} else if !strings.Contains(err.Error(), c.text) {
+			t.Errorf("%s: %v; want %q", c.name, err, c.text)
 		}
 	}
 }

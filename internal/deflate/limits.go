@@ -59,8 +59,11 @@ func normEOF(err error) error {
 // InflateLimited decodes a complete raw Deflate stream under lim. It
 // never panics on any input: structural violations and truncations
 // return errors wrapping ErrCorrupt (truncations additionally match
-// io.ErrUnexpectedEOF), and output allocation never exceeds
-// lim.MaxOutputBytes by more than one stored block's bounded slack.
+// io.ErrUnexpectedEOF). The output is reserved at three times the
+// input, or at lim.MaxOutputBytes if that is less, and grows by at least
+// doubling, so its capacity never exceeds lim.MaxOutputBytes by more
+// than token.MaxMatch+8 bytes, and its allocations add up to at most
+// about three times lim.MaxOutputBytes.
 func InflateLimited(data []byte, lim DecodeLimits) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -2,8 +2,10 @@ package deflate
 
 import (
 	"bytes"
+	"compress/zlib"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,6 +55,41 @@ func TestInflateLimitedOutputCap(t *testing.T) {
 	// Zero cap: unlimited.
 	if _, err := InflateLimited(body, DecodeLimits{}); err != nil {
 		t.Fatalf("unlimited decode: %v", err)
+	}
+}
+
+// TestInflateOutputGrowthBounded decodes compress/zlib-compressed
+// zeros, which expand far past the decoder's first reservation, under a
+// limit of exactly their size. The output must end within one stored
+// block's slack of the limit, and the decode must allocate no more than
+// three times the limit in all, which a growth step that at least
+// doubles keeps to.
+func TestInflateOutputGrowthBounded(t *testing.T) {
+	zeros := make([]byte, 64<<10)
+	for _, size := range []int{8 << 20, 64 << 20} {
+		var z bytes.Buffer
+		w := zlib.NewWriter(&z)
+		for n := 0; n < size; n += len(zeros) {
+			w.Write(zeros)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := ZlibDecompressLimited(z.Bytes(), DecodeLimits{MaxOutputBytes: size})
+		runtime.ReadMemStats(&after)
+		if err != nil || len(out) != size {
+			t.Fatalf("%d zeros: decoded %d bytes, %v", size, len(out), err)
+		}
+		if c := cap(out); c > size+64<<10 {
+			t.Errorf("%d zeros: output capacity %d, over the limit by %d", size, c, c-size)
+		}
+		a := after.TotalAlloc - before.TotalAlloc
+		if a > 3*uint64(size) {
+			t.Errorf("%d zeros: decode allocated %d bytes, %.1fx the limit", size, a, float64(a)/float64(size))
+		}
+		t.Logf("%d zeros: capacity %d, allocated %d bytes (%.2fx)", size, cap(out), a, float64(a)/float64(size))
 	}
 }
 
