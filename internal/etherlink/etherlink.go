@@ -33,12 +33,9 @@ const (
 // uint32 sequence space can number are rejected rather than silently
 // wrapping sequence numbers.
 func Segment(data []byte) ([]Frame, error) {
-	n := (len(data) + MaxChunk - 1) / MaxChunk
-	if n == 0 {
-		n = 1
-	}
-	if uint64(n) > math.MaxUint32 {
-		return nil, fmt.Errorf("etherlink: %d bytes need %d frames, overflowing the uint32 sequence space", len(data), n)
+	n, err := frameCount(len(data))
+	if err != nil {
+		return nil, err
 	}
 	frames := make([]Frame, 0, n)
 	wireBytes := 0
@@ -58,6 +55,17 @@ func Segment(data []byte) ([]Frame, error) {
 		k.frameBytes.Add(int64(wireBytes))
 	}
 	return frames, nil
+}
+
+// frameCount is how many frames Segment cuts a block of size bytes
+// into: one per MaxChunk bytes or part of them, and one for an empty
+// block. It rejects a count the uint32 sequence space cannot number.
+func frameCount(size int) (int, error) {
+	n := max((size+MaxChunk-1)/MaxChunk, 1)
+	if uint64(n) > math.MaxUint32 {
+		return 0, fmt.Errorf("etherlink: %d bytes need %d frames, overflowing the uint32 sequence space", size, n)
+	}
+	return n, nil
 }
 
 // fcsSeed is the CRC state after the synthetic Ethernet-II header that

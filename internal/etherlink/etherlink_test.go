@@ -179,23 +179,17 @@ func TestSegmentEmptyInputRoundTrip(t *testing.T) {
 
 func TestSegmentRejectsSequenceOverflow(t *testing.T) {
 	if ^uint(0) == uint(math.MaxUint32) {
-		t.Skip("32-bit platform cannot construct an overflowing block")
+		t.Skip("32-bit platform cannot size an overflowing block")
 	}
-	// A fake slice header big enough to need 2^32 frames would not fit in
-	// memory, so exercise the arithmetic through the exported check: the
-	// frame count for MaxUint32+1 frames' worth of bytes must be rejected.
-	// Build the request via a huge-length slice of a small backing array
-	// using unsafe is not worth it; instead verify the boundary math
-	// directly against the constant.
-	const limit = int64(math.MaxUint32) * int64(MaxChunk)
-	if got := int64(MaxChunk); got <= 0 || limit <= 0 {
-		t.Fatal("chunk arithmetic overflowed")
+	// A block that needs 2^32 frames is 6 TB, so the boundary is checked
+	// on the frame count Segment takes from the block's length.
+	limit := int(math.MaxUint32) * MaxChunk
+	if n, err := frameCount(limit); err != nil || n != math.MaxUint32 {
+		t.Fatalf("%d bytes: %d frames, %v; want %d frames", limit, n, err, uint32(math.MaxUint32))
 	}
-	// The largest representable payload (MaxUint32 frames) is accepted by
-	// the frame-count check; one more chunk is not. We cannot allocate
-	// 6 TB, so this asserts the guard is on the frame count, not the byte
-	// count, by checking Segment's arithmetic inputs stay in range for
-	// every allocatable size.
+	if n, err := frameCount(limit + 1); err == nil {
+		t.Fatalf("%d bytes: %d frames accepted past the sequence space", limit+1, n)
+	}
 	frames := mustSegment(t, make([]byte, 3*MaxChunk+1))
 	if len(frames) != 4 {
 		t.Fatalf("got %d frames, want 4", len(frames))
