@@ -105,10 +105,11 @@ echo "== inflate drivers gate (race) =="
 # ZlibDecompressDict and compress/flate; the two code-validity
 # regressions (an empty distance code is valid, an incomplete code is
 # not); the fast symbol loop's edges (matches of distance 1-9 and every
-# length across its output margin, real streams under every limit up to
-# 300 bytes short of their size and at Read sizes 1-17 and 4,093, and
-# its errors read as the careful loop's); and the output growth bound
-# (capacity within the margin of the limit, allocations within 3x).
+# length across its output margin, wiki and CAN streams under every
+# limit up to 300 bytes short of their size and once through every
+# decoder, and its errors read as the careful loop's); and the output
+# growth bound (capacity within the margin of the limit, allocations
+# within 3x).
 race_gate 'TestInflateDriversAgree|TestInflateAcceptsEmptyDistanceCode|TestInflateRejectsIncompleteCode|TestInflateFastLoopEdges|TestInflateOutputGrowthBounded' ./internal/deflate
 
 echo "== engine goroutine-leak check (race) =="

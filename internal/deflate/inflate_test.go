@@ -308,11 +308,12 @@ func TestInflateDriversAgree(t *testing.T) {
 // symbol loop, where decoding passes to the careful loop and back, and
 // holds every output to compress/flate's. Wiki and CAN streams, fixed,
 // dynamic and preset-dictionary, decode under every output limit from
-// 300 bytes short of their size to their size, and the raw ones through
-// StreamInflater, whose window ends a chunk every 64 KiB, at many Read
-// sizes. Hand-built streams put a match of every distance 1-9 and
-// length 3-258 just before and at the point where the output margin
-// ends the fast loop under a limit of exactly the stream's size. Last,
+// 300 bytes short of their size to their size, and the raw ones once
+// through every other entry point of the inflate core, since
+// TestInflateDriversAgree sends no CAN stream. Hand-built streams put
+// a match of every distance 1-9 and length 3-258 just before and at the
+// point where the output margin ends the fast loop under a limit of
+// exactly the stream's size. Last,
 // every error the fast loop can meet must read as it does from the
 // careful loop alone, which is all ParseCommands runs.
 func TestInflateFastLoopEdges(t *testing.T) {
@@ -334,41 +335,36 @@ func TestInflateFastLoopEdges(t *testing.T) {
 		name string
 		gen  workload.Generator
 	}{{"wiki", workload.Wiki}, {"can", workload.CAN}} {
-		// The limit sweep decodes a short stream 301 times; StreamInflater
-		// decodes a stream long enough to end two chunks.
-		for _, n := range []int{16 << 10, 70 << 10} {
-			data := corpus.gen(n, 3)
-			cmds, _, err := lzss.Compress(data, p)
-			if err != nil {
-				t.Fatal(err)
+		data := corpus.gen(16<<10, 3)
+		cmds, _, err := lzss.Compress(data, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed, err := FixedDeflate(cmds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dynamic, err := DynamicDeflate(cmds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, body := range map[string][]byte{"fixed": fixed, "dynamic": dynamic} {
+			name := corpus.name + "/" + kind
+			want, err := flateInflate(body)
+			if err != nil || !bytes.Equal(want, data) {
+				t.Fatalf("%s: compress/flate: %v", name, err)
 			}
-			fixed, err := FixedDeflate(cmds)
+			limits(name, want, func(lim DecodeLimits) ([]byte, error) { return InflateLimited(body, lim) })
+			outs, err := decodeAll(body)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			dynamic, err := DynamicDeflate(cmds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for kind, body := range map[string][]byte{"fixed": fixed, "dynamic": dynamic} {
-				name := fmt.Sprintf("%s/%s/%d", corpus.name, kind, n)
-				want, err := flateInflate(body)
-				if err != nil || !bytes.Equal(want, data) {
-					t.Fatalf("%s: compress/flate: %v", name, err)
-				}
-				if n < 64<<10 {
-					limits(name, want, func(lim DecodeLimits) ([]byte, error) { return InflateLimited(body, lim) })
-					continue
-				}
-				for _, size := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 4093} {
-					out, err := readAllSized(NewStreamInflater(bytes.NewReader(body)), size)
-					if err != nil || !bytes.Equal(out, want) {
-						t.Fatalf("%s: StreamInflater at %d-byte reads: %d bytes unlike compress/flate's %d, %v", name, size, len(out), len(want), err)
-					}
+			for entry, out := range outs {
+				if !bytes.Equal(out, want) {
+					t.Errorf("%s: %s decoded %d bytes unlike compress/flate's %d", name, entry, len(out), len(want))
 				}
 			}
 		}
-		data := corpus.gen(16<<10, 3)
 		z, err := ZlibCompressDict(data, dict, p)
 		if err != nil {
 			t.Fatal(err)
