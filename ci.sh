@@ -4,7 +4,8 @@
 # the race detector (including the observability stress test, the
 # fault-injection matrix, the engine soak and the engine goroutine-leak
 # check, the server e2e/drain/soak suite and the frame codec's pin,
-# differential and allocation gate), the cache stampede soak
+# differential and allocation gate), the greedy matcher and emit
+# identity gate, the cache stampede soak
 # and the preset-dictionary round-trip gate, the cluster kill/drain
 # chaos gate, the inflate drivers gate, the metric names-drift
 # guard, coverage floors on the serving (lzssd and the cluster front)
@@ -12,7 +13,8 @@
 # suffix-array differential battery (cross-matcher round trips, the
 # cache-key aliasing regression, the SA cluster front), a bounded fuzz
 # pass over the hardened inflate entry points (differential against
-# compress/flate), the wire-frame parser
+# compress/flate), the wire-frame parser, the greedy matcher
+# differential against the naive references
 # and the all-levels round-trip differential through every block
 # policy (each pass with minimization bounded to 1s, so it fuzzes),
 # the observability overhead budget, and a fresh machine-readable
@@ -130,6 +132,15 @@ echo "== frame codec gate (race) =="
 # response write traced as an error and never counted as a response.
 race_gate 'TestWireBytesPinned|TestReadMessageMatchesReassemble|TestReadMessageHeaderAllocBound|TestServerTCPFailedWriteIsAnError|TestMessageRoundTrip|TestParseMessageRejections|TestReadMessageCapRejectionKeepsReqID' ./internal/server
 
+echo "== greedy matcher + emit identity gate (race) =="
+# The one greedy loop under every compressor front end, held to the
+# naive references (commands, Stats and both histograms, the caller
+# HashFunc and dictionary-tail rows included), to the streaming
+# compressor, and to the cycle-accurate hardware model; the emit loop
+# held byte for byte to one WriteBits per symbol; and a fresh parallel
+# segment worker allocating at most 2.5x its final command bytes.
+race_gate 'TestGreedyMatchesNaiveReference|TestGen2MatchesNaiveReference|TestStreamMatchesWholeBuffer|TestStreamGen2MatchesWholeBuffer|TestWordComparePathMatchesHardwareModel|TestEmitMatchesWriteBits|TestSegmentCommandBufferAllocBound' ./internal/lzss ./internal/deflate
+
 echo "== cache stampede soak (race) =="
 # 64 concurrent clients request the same hot block through real sockets;
 # the engine must compress it exactly once — every other request hits
@@ -202,6 +213,11 @@ go test -run '^$' -fuzz FuzzInflate -fuzztime 10s -fuzzminimizetime 1s ./interna
 
 echo "== frame parser fuzz (10s) =="
 go test -run '^$' -fuzz FuzzFrameParser -fuzztime 10s -fuzzminimizetime 1s ./internal/server
+
+echo "== greedy matcher differential fuzz (10s) =="
+# Fuzzed bytes through every greedy row against naiveGreedy/naiveGen2
+# and through the streaming compressor at a fuzzed write size.
+go test -run '^$' -fuzz FuzzGreedyMatchesNaive -fuzztime 10s -fuzzminimizetime 1s ./internal/lzss
 
 echo "== all-levels round-trip fuzz (10s) =="
 # The cross-matcher differential oracle: every level of the dial —

@@ -93,6 +93,21 @@ func (bw *Writer) Drain() []byte {
 	return b
 }
 
+// State hands out the Writer's state for an encoder that keeps it in
+// locals: the pending bits, their count, and the buffer. The encoder
+// hands the state back with SetState before it uses the Writer again.
+func (bw *Writer) State() (acc uint64, nAcc uint, buf []byte) {
+	return bw.acc, bw.nAcc, bw.buf
+}
+
+// SetState takes back a state State handed out. buf must hold the bytes
+// State returned followed by any the encoder appended, and acc and nAcc
+// must keep the accumulator's invariant: fewer than 32 pending bits, and
+// the bits of acc above them zero.
+func (bw *Writer) SetState(acc uint64, nAcc uint, buf []byte) {
+	bw.acc, bw.nAcc, bw.buf = acc, nAcc, buf
+}
+
 // settle moves the whole bytes of the accumulator to the buffer.
 func (bw *Writer) settle() {
 	for ; bw.nAcc >= 8; bw.nAcc -= 8 {

@@ -282,3 +282,40 @@ func TestReaderReset(t *testing.T) {
 		t.Fatalf("BitsRead after reset = %d", r.BitsRead())
 	}
 }
+
+// TestWriterStateRoundTrip hands a Writer's state to an encoder that
+// stores whole words itself, then back: the stream must be the one
+// WriteBits alone writes, at every pending-bit count.
+func TestWriterStateRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for pending := uint(0); pending < 32; pending++ {
+		pre := rng.Uint32() & (1<<pending - 1)
+		words := []uint32{rng.Uint32(), rng.Uint32(), rng.Uint32()}
+		want := NewWriter([]byte{0xAA})
+		want.WriteBits(pre, pending)
+		for _, v := range words {
+			want.WriteBits(v, 32)
+		}
+		want.WriteBits(0x5, 3)
+
+		w := NewWriter([]byte{0xAA})
+		w.WriteBits(pre, pending)
+		acc, nAcc, buf := w.State()
+		if nAcc != pending || acc != uint64(pre) || !bytes.Equal(buf, []byte{0xAA}) {
+			t.Fatalf("pending %d: State() = %#x, %d, %x", pending, acc, nAcc, buf)
+		}
+		for _, v := range words {
+			acc |= uint64(v) << nAcc
+			buf = append(buf, byte(acc), byte(acc>>8), byte(acc>>16), byte(acc>>24))
+			acc >>= 32
+		}
+		w.SetState(acc, nAcc, buf)
+		if got, wantBits := w.BitsWritten(), want.BitsWritten(); got != wantBits-3 {
+			t.Fatalf("pending %d: BitsWritten after SetState = %d, want %d", pending, got, wantBits-3)
+		}
+		w.WriteBits(0x5, 3)
+		if got, wantBytes := flush(w), flush(want); !bytes.Equal(got, wantBytes) {
+			t.Fatalf("pending %d: got %x, want %x", pending, got, wantBytes)
+		}
+	}
+}

@@ -81,22 +81,51 @@ func inRange(c token.Command) bool {
 // emit writes cmds and the end-of-block symbol in code t. It is the one
 // loop that writes Huffman symbols; a command out of the tables' range
 // stops it with c.Validate()'s error.
+//
+// The loop keeps the Writer's accumulator, its bit count and the output
+// in locals (zlib's send_bits on a 64-bit bi_buf) and flushes 32 bits
+// whenever 32 or more are pending, after a literal, after a length entry
+// and after a distance entry. Fewer than 32 bits are pending before
+// each entry, a length entry is at most 15+5 bits and a distance entry
+// at most 15+13, so the accumulator never holds more than 31+28 = 59
+// bits. The shift counts are masked to the word size they never reach
+// (compress/flate's writeCode does the same), which spares the
+// compiler's test for an oversized shift. The state goes back to the
+// Writer on every exit.
 func emit(bw *bitio.Writer, t *emitTable, cmds []token.Command) error {
+	acc, nAcc, buf := bw.State()
 	for _, c := range cmds {
 		if c.K == token.Literal {
 			e := t.lit[c.Lit]
-			bw.WriteBits(e.bits, uint(e.n))
+			acc |= uint64(e.bits) << (nAcc & 63)
+			if nAcc += uint(e.n); nAcc >= 32 {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(acc))
+				acc >>= 32
+				nAcc -= 32
+			}
 			continue
 		}
 		if !inRange(c) {
+			bw.SetState(acc, nAcc, buf)
 			return c.Validate()
 		}
 		e := t.len[c.Length-token.MinMatch]
-		bw.WriteBits(e.bits, uint(e.n))
+		acc |= uint64(e.bits) << (nAcc & 63)
+		if nAcc += uint(e.n); nAcc >= 32 {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(acc))
+			acc >>= 32
+			nAcc -= 32
+		}
 		dc := distCodeFor(c.Distance)
 		e = t.dist[dc.sym]
-		bw.WriteBits(e.bits|uint32(c.Distance-int(dc.base))<<e.n, uint(e.n)+uint(dc.extra))
+		acc |= uint64(e.bits|uint32(c.Distance-int(dc.base))<<(e.n&31)) << (nAcc & 63)
+		if nAcc += uint(e.n) + uint(dc.extra); nAcc >= 32 {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(acc))
+			acc >>= 32
+			nAcc -= 32
+		}
 	}
+	bw.SetState(acc, nAcc, buf)
 	e := t.lit[endOfBlock]
 	bw.WriteBits(e.bits, uint(e.n))
 	return nil

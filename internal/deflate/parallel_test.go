@@ -7,10 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"lzssfpga/internal/engine"
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/obs"
+	"lzssfpga/internal/token"
 	"lzssfpga/internal/workload"
 )
 
@@ -338,6 +342,41 @@ func TestParallelSinkContextCancel(t *testing.T) {
 		}
 		if rep.Segments != 16 {
 			t.Fatalf("cancel after %d writes: segments = %d", writes, rep.Segments)
+		}
+	}
+}
+
+// TestSegmentCommandBufferAllocBound holds a fresh segment worker, the
+// state of every cold process and of every pool refill, to one command
+// buffer per segment: compressing a 256 KiB wiki or CAN segment may
+// allocate at most 2.5x the final command bytes, arena buffer and block
+// scratch included. Grown from empty by append, the buffer allocated
+// 5-6x.
+func TestSegmentCommandBufferAllocBound(t *testing.T) {
+	p := lzss.HWSpeedParams()
+	for _, c := range []struct {
+		name string
+		gen  workload.Generator
+	}{{"wiki", workload.Wiki}, {"can", workload.CAN}} {
+		data := c.gen(256<<10, 1)
+		m, err := lzss.NewMatcher(nil, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &segWorker{p: p, m: m}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, err := w.compressSegment(data, 0, true, segHint(len(data)))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine.PutBuf(body)
+		cmdBytes := uint64(len(w.cmds)) * uint64(unsafe.Sizeof(token.Command{}))
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d commands (%d B), allocated %d B (%.2fx)", c.name, len(w.cmds), cmdBytes, alloc, float64(alloc)/float64(cmdBytes))
+		if 2*alloc > 5*cmdBytes {
+			t.Errorf("%s: allocated %d B, over 2.5x the %d B of final commands", c.name, alloc, cmdBytes)
 		}
 	}
 }

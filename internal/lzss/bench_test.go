@@ -1,6 +1,7 @@
 package lzss
 
 import (
+	"fmt"
 	"testing"
 
 	"lzssfpga/internal/token"
@@ -11,16 +12,37 @@ import (
 // the same corpus Table I measures, sized for stable per-op numbers.
 func benchData() []byte { return workload.Wiki(1<<20, 1) }
 
-// BenchmarkCompressGreedy is the software fast path end to end: the
-// deflate_fast-style policy at the paper's speed-optimized setting.
+// benchCmds keeps the benchmarks' command streams live, so the compiler
+// cannot drop the work that made them.
+var benchCmds []token.Command
+
+// BenchmarkCompressGreedy times the greedy loop at the paper's
+// speed-optimized setting the way bench/layers.go times the matcher:
+// one matcher and one command buffer reused from op to op, so an op
+// matches and does not allocate. Wiki and CAN, at a serving request
+// size and at the bulk buffer size.
 func BenchmarkCompressGreedy(b *testing.B) {
-	data := benchData()
 	p := HWSpeedParams()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Compress(data, p); err != nil {
-			b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		gen  workload.Generator
+	}{{"wiki", workload.Wiki}, {"can", workload.CAN}} {
+		for _, n := range []int{64 << 10, 4 << 20} {
+			data := c.gen(n, 1)
+			b.Run(fmt.Sprintf("%s/%dKiB", c.name, n>>10), func(b *testing.B) {
+				m, err := NewMatcher(nil, p, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cmds := CompressReuse(nil, m, data) // sizes the buffer
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cmds = CompressReuse(cmds[:0], m, data)
+				}
+				benchCmds = cmds
+			})
 		}
 	}
 }

@@ -16,17 +16,19 @@ import (
 // reference mirrors the batch *grouping* (it determines ProbeBatches
 // and where a Nice early-exit lands) but compares byte-at-a-time, so
 // the wide-compare and gather machinery is what's actually under test.
+// It tallies both histograms with the bucket scans (scanBucket).
 
 // naiveGen2 is an independent reimplementation of the generation-two
 // greedy policy: skip stride 1 + miss>>SkipTrigger capped at
 // maxSkipStride, 4-byte multiplicative heads when Hash4 is set (with
 // the first-word quick-reject charged as 4 compare bytes), plain
 // 3-byte chains otherwise.
-func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
+func naiveGen2(src []byte, p Params) (refRun, error) {
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return refRun{}, err
 	}
-	s := &Stats{InputBytes: int64(len(src))}
+	r := refRun{stats: Stats{InputBytes: int64(len(src))}}
+	s := &r.stats
 	head := make([]int, 1<<p.HashBits)
 	for i := range head {
 		head[i] = -1
@@ -89,6 +91,7 @@ func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
 		budget := p.MaxChain
 		t32 := le32(pos)
 		var batch []int
+		depth := int64(0)
 	search:
 		for budget > 0 && cand >= 0 && cand >= minPos {
 			batch = batch[:0]
@@ -100,6 +103,7 @@ func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
 			s.ProbeBatches++
 			for _, c := range batch {
 				s.ChainSteps++
+				depth++
 				if le32(c) != t32 {
 					s.CompareBytes += 4
 					continue
@@ -113,6 +117,7 @@ func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
 				}
 			}
 		}
+		r.cd[scanBucket(chainDepthBounds, depth)]++
 		if bestLen < 4 {
 			return 0, 0
 		}
@@ -134,8 +139,10 @@ func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
 		}
 		minPos := pos - (p.Window - 1)
 		bestLen, bestDist := 0, 0
+		depth := int64(0)
 		for chain := 0; chain < p.MaxChain && cand >= 0 && cand >= minPos; chain++ {
 			s.ChainSteps++
+			depth++
 			n := compare(cand, pos, maxLen)
 			if n > bestLen {
 				bestLen, bestDist = n, pos-cand
@@ -145,19 +152,19 @@ func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
 			}
 			cand = prev[cand&mask]
 		}
+		r.cd[scanBucket(chainDepthBounds, depth)]++
 		if bestLen < token.MinMatch {
 			return 0, 0
 		}
 		return bestLen, bestDist
 	}
 
-	var cmds []token.Command
 	pos, miss := 0, 0
 	for pos < len(src) {
 		if pos >= hashable {
 			for ; pos < len(src); pos++ {
 				s.Literals++
-				cmds = append(cmds, token.Lit(src[pos]))
+				r.cmds = append(r.cmds, token.Lit(src[pos]))
 			}
 			break
 		}
@@ -171,7 +178,8 @@ func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
 			miss = 0
 			s.Matches++
 			s.MatchedBytes += int64(length)
-			cmds = append(cmds, token.Copy(dist, length))
+			r.ml[scanBucket(matchLenBounds, int64(length))]++
+			r.cmds = append(r.cmds, token.Copy(dist, length))
 			end := pos + length
 			if length <= p.InsertLimit {
 				to := end
@@ -195,11 +203,11 @@ func naiveGen2(src []byte, p Params) ([]token.Command, *Stats, error) {
 		}
 		for ; step > 0; step-- {
 			s.Literals++
-			cmds = append(cmds, token.Lit(src[pos]))
+			r.cmds = append(r.cmds, token.Lit(src[pos]))
 			pos++
 		}
 	}
-	return cmds, s, nil
+	return r, nil
 }
 
 // gen2TestInputs builds the corpus the reference tests run over:
@@ -238,26 +246,15 @@ func gen2TestParams() map[string]Params {
 func TestGen2MatchesNaiveReference(t *testing.T) {
 	for pname, p := range gen2TestParams() {
 		for iname, input := range gen2TestInputs(t) {
-			want, wantStats, err := naiveGen2(input, p)
+			want, err := naiveGen2(input, p)
 			if err != nil {
 				t.Fatalf("%s/%s: naive: %v", pname, iname, err)
 			}
-			got, gotStats, err := Compress(input, p)
-			if err != nil {
-				t.Fatalf("%s/%s: Compress: %v", pname, iname, err)
+			got := fastRun(t, input, 0, p)
+			if d := got.diff(&want); d != "" {
+				t.Fatalf("%s/%s: %s", pname, iname, d)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d commands, naive %d", pname, iname, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s/%s: command %d = %v, naive %v", pname, iname, i, got[i], want[i])
-				}
-			}
-			if *gotStats != *wantStats {
-				t.Errorf("%s/%s: stats diverge:\n got %+v\nwant %+v", pname, iname, *gotStats, *wantStats)
-			}
-			out, err := Decompress(got)
+			out, err := Decompress(got.cmds)
 			if err != nil {
 				t.Fatalf("%s/%s: decompress: %v", pname, iname, err)
 			}

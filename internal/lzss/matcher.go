@@ -90,9 +90,18 @@ func NewMatcher(src []byte, p Params, stats *Stats) (*Matcher, error) {
 // for the default policy.
 func (m *Matcher) hash(src []byte, pos int) uint32 {
 	if m.zshift != 0 {
-		return ((uint32(src[pos])<<m.zshift^uint32(src[pos+1]))<<m.zshift ^ uint32(src[pos+2])) & m.zmask
+		return zlibHash3(src, pos, m.zshift, m.zmask)
 	}
 	return m.p.Hash(src[pos], src[pos+1], src[pos+2])
+}
+
+// zlibHash3 is ZlibHash of the three bytes at pos, written out for the
+// hot loops with ZlibHash's shift and mask. The one reslice bounds all
+// three loads, and masking shift (at most 7) spares a test per shift.
+func zlibHash3(src []byte, pos int, shift, mask uint32) uint32 {
+	b := src[pos : pos+3 : pos+3]
+	shift &= 31
+	return ((uint32(b[0])<<shift^uint32(b[1]))<<shift ^ uint32(b[2])) & mask
 }
 
 // Stats returns the operation counters.
@@ -188,7 +197,7 @@ func (m *Matcher) InsertRange(from, to int) {
 	} else if m.zshift != 0 {
 		shift, hmask := m.zshift, m.zmask
 		for i := from; i < to; i++ {
-			h := ((uint32(src[i])<<shift^uint32(src[i+1]))<<shift ^ uint32(src[i+2])) & hmask
+			h := zlibHash3(src, i, shift, hmask)
 			prev[int32(i)&m.mask] = head[h]
 			head[h] = int32(i)
 		}
@@ -229,8 +238,8 @@ func (m *Matcher) FindMatch(pos int) (length, distance int) {
 	}
 	src, prev := m.src, m.prev
 	var h uint32
-	if shift := m.zshift; shift != 0 {
-		h = ((uint32(src[pos])<<shift^uint32(src[pos+1]))<<shift ^ uint32(src[pos+2])) & m.zmask
+	if m.zshift != 0 {
+		h = zlibHash3(src, pos, m.zshift, m.zmask)
 	} else {
 		h = m.p.Hash(src[pos], src[pos+1], src[pos+2])
 	}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"lzssfpga/internal/obs"
+	"lzssfpga/internal/token"
 )
 
 // Observability: the matcher histograms locally (fixed arrays in
@@ -27,22 +28,54 @@ const (
 	numChainDepthBuckets = 13 // len(chainDepthBounds) + 1
 )
 
-func matchLenBucket(n int) int {
-	for i, b := range matchLenBounds {
-		if int64(n) <= b {
-			return i
-		}
-	}
-	return len(matchLenBounds)
+// Every probe and every match picks a bucket, so the buckets come from
+// tables indexed by the value: every legal match length, and chain
+// depths up to the last bound below LevelMax's 4096 (greedy speed
+// levels walk at most a few candidates). Deeper walks resume the scan
+// from the table's last bucket.
+var (
+	matchLenTab   [token.MaxMatch + 1]uint8
+	chainDepthTab [257]uint8
+)
+
+func init() {
+	fillBuckets(matchLenTab[:], matchLenBounds)
+	fillBuckets(chainDepthTab[:], chainDepthBounds)
 }
 
-func chainDepthBucket(n int64) int {
-	for i, b := range chainDepthBounds {
-		if n <= b {
-			return i
-		}
+// fillBuckets sets tab[n] to n's bucket.
+func fillBuckets(tab []uint8, bounds []int64) {
+	i := 0
+	for n := range tab {
+		i = scanBuckets(bounds, i, int64(n))
+		tab[n] = uint8(i)
 	}
-	return len(chainDepthBounds)
+}
+
+// scanBuckets returns n's bucket — the index of the first bound at or
+// above n, or len(bounds) past the last — scanning from bucket i, which
+// must not be above n's.
+func scanBuckets(bounds []int64, i int, n int64) int {
+	for i < len(bounds) && n > bounds[i] {
+		i++
+	}
+	return i
+}
+
+// matchLenBucket is the histogram bucket of match length n >= 0.
+func matchLenBucket(n int) int {
+	if uint(n) < uint(len(matchLenTab)) {
+		return int(matchLenTab[n])
+	}
+	return scanBuckets(matchLenBounds, int(matchLenTab[len(matchLenTab)-1]), int64(n))
+}
+
+// chainDepthBucket is the histogram bucket of chain depth n >= 0.
+func chainDepthBucket(n int64) int {
+	if uint64(n) < uint64(len(chainDepthTab)) {
+		return int(chainDepthTab[n])
+	}
+	return scanBuckets(chainDepthBounds, int(chainDepthTab[len(chainDepthTab)-1]), n)
 }
 
 // lzssSink holds the registry handles for the lzss_* metric family.
