@@ -35,6 +35,6 @@ func CompressWithDict(dict, data []byte, p Params) ([]token.Command, *Stats, err
 	}
 	// Warming the chains with every dictionary position is zlib's
 	// deflateSetDictionary; CompressTail does exactly that.
-	cmds := CompressTail(make([]token.Command, 0, len(data)/3+16), m, buf, len(dict))
+	cmds := CompressTail(nil, m, buf, len(dict))
 	return cmds, stats, nil
 }

@@ -108,7 +108,7 @@ func (s *StreamCompressor) drain(cmds []token.Command, stop int) []token.Command
 		return cmds
 	}
 	if cmds == nil {
-		cmds = make([]token.Command, 0, (stop-s.pos)/3+16)
+		cmds = reserve(nil, stop-s.pos)
 	}
 	// Rebind the matcher but keep its chains (Reset would clear them):
 	// an append may have moved the buffer, but positions keep their
