@@ -2,7 +2,8 @@
 # Repository gate: formatting, static checks, the benchmark module's
 # vet and short tests, the full test suite under
 # the race detector (including the observability stress test, the
-# fault-injection matrix, the engine soak and the engine goroutine-leak
+# fault-injection matrix, the engine soak, the pooled segment worker's
+# release of its input and the engine goroutine-leak
 # check, the server e2e/drain/soak suite and the frame codec's pin,
 # differential and allocation gate), the greedy matcher and emit
 # identity gate, the cache stampede soak
@@ -88,8 +89,9 @@ echo "== engine soak + stall reorder + parallel option matrix (race) =="
 # The option matrix crosses {plain, carry, preset dictionary} x
 # {returned, sink} x {fast, resilient} through the one parallel driver,
 # plus a resilient dictionary run under panics and sink-path
-# cancellation.
-race_gate 'TestEngineSoak|TestReorderUnderWorkerStalls|TestParallelOptionMatrix|TestParallelDictResilientRecoversPanics|TestParallelSinkContextCancel' ./internal/deflate
+# cancellation, and a pooled segment worker must not keep the caller's
+# input alive past one collection (plain, carry and resilient runs).
+race_gate 'TestEngineSoak|TestReorderUnderWorkerStalls|TestParallelOptionMatrix|TestParallelDictResilientRecoversPanics|TestParallelSinkContextCancel|TestPooledSegWorkerDoesNotPinInput' ./internal/deflate
 
 echo "== engine soak at GOMAXPROCS=4 (race) =="
 # The shared job queue and the reorder window only exercise cross-core
@@ -119,7 +121,9 @@ race_gate TestEngineCloseLeavesNoWorkers ./internal/engine
 
 echo "== server e2e + drain + soak (race) =="
 # The TestServerDrain tests are tables over both framed fronts: lzssd
-# and a cluster front over one lzssd backend.
+# and a cluster front over one lzssd backend. The drain holds plain
+# (request-ID-less) requests beside pipelined ones, so each front's
+# serial path is drained too.
 race_gate 'TestServerE2E|TestServerDrain|TestServerSoak' ./internal/server
 
 echo "== frame codec gate (race) =="

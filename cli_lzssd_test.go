@@ -167,14 +167,15 @@ func lzssdClientRun(i int, p *lzssdProc, lim deflate.DecodeLimits, payloads [][]
 		}
 		return nil
 	}
-	tc, err := client.DialTCP(p.tcpAddr, 0)
+	tc, err := client.DialMuxTimeout(p.tcpAddr, 0, 0)
 	if err != nil {
 		return fmt.Errorf("tcp client %d: dial: %w", i, err)
 	}
 	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	for pi, data := range payloads {
-		z, err := tc.Compress(data)
+		z, err := tc.Compress(ctx, data)
 		if err != nil {
 			return fmt.Errorf("tcp client %d payload %d: %w", i, pi, err)
 		}
@@ -206,12 +207,13 @@ func TestCLILzssdGracefulDrain(t *testing.T) {
 				hc := client.NewHTTP(p.httpAddr)
 				z, err = hc.Compress(context.Background(), payload)
 			} else {
-				var tc *client.TCP
-				tc, err = client.DialTCP(p.tcpAddr, 0)
+				var tc *client.Mux
+				tc, err = client.DialMuxTimeout(p.tcpAddr, 0, 0)
 				if err == nil {
 					defer tc.Close()
-					tc.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-					z, err = tc.Compress(payload)
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					defer cancel()
+					z, err = tc.Compress(ctx, payload)
 				}
 			}
 			if err == nil {
@@ -249,7 +251,7 @@ func TestCLILzssdGracefulDrain(t *testing.T) {
 		t.Fatalf("missing drained line in output:\n%s", out)
 	}
 	// The listeners are gone: new work must be refused.
-	if _, err := client.DialTCP(p.tcpAddr, 0); err == nil {
+	if _, err := client.DialMuxTimeout(p.tcpAddr, 0, 0); err == nil {
 		t.Fatal("drained lzssd still accepts TCP connections")
 	}
 	hc := client.NewHTTP(p.httpAddr)
@@ -324,7 +326,7 @@ func TestCLILzssdClusterFront(t *testing.T) {
 
 	// Pipelined round trips through one multiplexed connection to the
 	// front, every payload byte-exact after a local re-inflate.
-	m, err := client.DialMux(front.tcpAddr, 0)
+	m, err := client.DialMuxTimeout(front.tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +399,7 @@ func TestCLILzssdClusterFront(t *testing.T) {
 	if out := front.output(); !strings.Contains(out, "lzssd: drained") {
 		t.Fatalf("missing drained line:\n%s", out)
 	}
-	if _, err := client.DialMux(front.tcpAddr, 0); err == nil {
+	if _, err := client.DialMuxTimeout(front.tcpAddr, 0, 0); err == nil {
 		t.Fatal("drained cluster front still accepts connections")
 	}
 }

@@ -84,7 +84,7 @@ var (
 	levelArg = flag.String("level", "min", "compression level: min, default, max, or 1..12 (10-12 select the suffix-array high-ratio tier)")
 	window   = flag.Int("window", 4096, "dictionary size (power of two, <= 32768)")
 	hashBits = flag.Uint("hash", 15, "hash bit count")
-	segment  = flag.Int("segment", 0, "parallel segment size in bytes (0 = 256 KiB, -1 = adaptive)")
+	segment  = flag.Int("segment", 0, "parallel segment size in bytes (0 = 256 KiB)")
 	workers  = flag.Int("workers", 0, "per-request in-flight segment cap (0 = engine width)")
 
 	maxBody  = flag.Int("maxbody", 64<<20, "per-request payload cap in bytes")
@@ -169,6 +169,10 @@ func realMain() int {
 	} else {
 		defer stop()
 	}
+	// Catch the drain signals before announcing a listener: a SIGTERM
+	// that arrived in between would kill the process undrained.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if *httpAddr != "" {
 		bound, err := srv.ListenHTTP(*httpAddr)
 		if err != nil {
@@ -186,8 +190,6 @@ func realMain() int {
 		fmt.Printf("lzssd: tcp listening on %s\n", bound)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Printf("lzssd: %s — draining (budget %s)\n", got, *drain)
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -254,6 +256,8 @@ func clusterMain() int {
 		WriteTimeout:    *writeTimeout,
 		CacheBytes:      *cacheBytes,
 	})
+	sig := make(chan os.Signal, 1) // before the listener, as in realMain
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	bound, err := front.ListenTCP(*tcpAddr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lzssd:", err)
@@ -262,8 +266,6 @@ func clusterMain() int {
 	fmt.Printf("lzssd: cluster front routing across %d backends\n", c.Members())
 	fmt.Printf("lzssd: tcp listening on %s\n", bound)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Printf("lzssd: %s — draining (budget %s)\n", got, *drain)
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)

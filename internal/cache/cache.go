@@ -9,10 +9,10 @@
 // Correctness is by construction: a cached value is the exact byte
 // stream a previous request returned, addressed by the full key, so a
 // hit can never serve a stream the same request would not have
-// produced. A paranoid verify mode additionally re-validates the
-// cached stream on every hit (the caller supplies the check, typically
-// a re-inflate against the request payload it holds); a failed check
-// drops the entry, counts a verify failure, and recomputes.
+// produced. A caller can additionally have every hit re-validated
+// (paranoid mode: it supplies the check, typically a re-inflate against
+// the request payload it holds); a failed check drops the entry, counts
+// a verify failure, and recomputes.
 package cache
 
 import (
@@ -41,7 +41,7 @@ func KeyFor(payload []byte, params uint64, dict string) Key {
 }
 
 // Config sizes a Cache. The zero value selects 64 MiB across 16
-// shards with paranoid verify off.
+// shards.
 type Config struct {
 	// MaxBytes is the cache-wide budget for held values (0 selects
 	// 64 MiB). Entries are evicted least-recently-used per shard when
@@ -50,9 +50,6 @@ type Config struct {
 	MaxBytes int64
 	// Shards is the lock-striping width (0 selects 16).
 	Shards int
-	// Verify enables paranoid mode: every hit re-runs the caller's
-	// verify function before the cached bytes are served.
-	Verify bool
 }
 
 func (c Config) withDefaults() Config {
@@ -105,7 +102,6 @@ type shard struct {
 // GetOrCompute are shared read-only slices — callers must not mutate
 // them.
 type Cache struct {
-	cfg         Config
 	shards      []*shard
 	maxPerShard int64
 
@@ -121,7 +117,7 @@ type Cache struct {
 // New builds a Cache from cfg (zero value usable).
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
-	c := &Cache{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	c := &Cache{shards: make([]*shard, cfg.Shards)}
 	c.maxPerShard = cfg.MaxBytes / int64(cfg.Shards)
 	if c.maxPerShard < 1 {
 		c.maxPerShard = 1
@@ -145,13 +141,13 @@ func (c *Cache) shardOf(k Key) *shard {
 // GetOrCompute returns the cached result for key, computing it at most
 // once across all concurrent callers. compute runs outside the shard
 // lock; its result is stored on success (compute errors are returned
-// but never cached, so the next request retries). verify is consulted
-// only on a hit and only when the cache was built with Verify: a
-// non-nil error drops the entry, counts a verify failure, and falls
-// through to a fresh compute. The returned slice is shared and
-// read-only. The bool reports whether the bytes came from the cache
-// (stored entry or a coalesced in-flight compute) rather than this
-// caller's own compute run.
+// but never cached, so the next request retries). A non-nil verify is
+// paranoid mode: it is consulted on every hit, and a non-nil error
+// drops the entry, counts a verify failure, and falls through to a
+// fresh compute. The returned slice is shared and read-only. The bool
+// reports whether the bytes came from the cache (stored entry or a
+// coalesced in-flight compute) rather than this caller's own compute
+// run.
 //
 // A caller whose ctx expires while waiting on another caller's compute
 // returns ctx.Err(); the compute itself continues and its result is
@@ -162,7 +158,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func() ([]byt
 		sh.mu.Lock()
 		if el, ok := sh.index[key]; ok {
 			e := el.Value.(*entry)
-			if c.cfg.Verify && verify != nil {
+			if verify != nil {
 				// Verify outside the lock: re-inflating a large stream
 				// under the shard mutex would serialize the stripe.
 				val := e.val

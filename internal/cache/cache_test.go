@@ -220,10 +220,11 @@ func TestCacheWaiterContextCancel(t *testing.T) {
 	}
 }
 
-// Paranoid verify mode: a failing check drops the entry, counts a
-// verify failure and recomputes; a passing check serves the hit.
+// Paranoid verify mode, selected by passing a verify function: a
+// failing check drops the entry, counts a verify failure and recomputes;
+// a passing check serves the hit.
 func TestCacheVerifyMode(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, Shards: 1, Verify: true})
+	c := New(Config{MaxBytes: 1 << 20, Shards: 1})
 	key := KeyFor([]byte("guarded"), 0, "")
 	gen := 0
 	compute := func() ([]byte, error) {

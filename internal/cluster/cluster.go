@@ -334,54 +334,46 @@ func (c *Cluster) recount() {
 // Compress round-trips data through the fleet and returns the zlib
 // stream.
 func (c *Cluster) Compress(ctx context.Context, data []byte) ([]byte, error) {
-	return c.Do(ctx, server.OpCompress, data)
+	out, _, err := c.DoDict(ctx, server.OpCompress, data, "")
+	return out, err
 }
 
 // CompressDict is Compress negotiating the named preset dictionary on
 // whichever backend serves the request (built-in dictionaries are
 // byte-identical fleet-wide, so any member resolves the same bytes).
 func (c *Cluster) CompressDict(ctx context.Context, data []byte, dictID string) ([]byte, error) {
-	out, _, err := c.DoTracedDict(ctx, server.OpCompress, data, dictID)
+	out, _, err := c.DoDict(ctx, server.OpCompress, data, dictID)
 	return out, err
 }
 
 // Decompress round-trips a zlib stream through the fleet and returns
 // the raw bytes.
 func (c *Cluster) Decompress(ctx context.Context, z []byte) ([]byte, error) {
-	return c.Do(ctx, server.OpDecompress, z)
+	out, _, err := c.DoDict(ctx, server.OpDecompress, z, "")
+	return out, err
 }
 
 // DecompressDict is Decompress for a stream compressed against the
 // named preset dictionary.
 func (c *Cluster) DecompressDict(ctx context.Context, z []byte, dictID string) ([]byte, error) {
-	out, _, err := c.DoTracedDict(ctx, server.OpDecompress, z, dictID)
+	out, _, err := c.DoDict(ctx, server.OpDecompress, z, dictID)
 	return out, err
 }
 
-// Do routes one request: the ring's preference order for the payload's
+// DoDict routes one request, carrying dictID in the wire dict field (""
+// sends a plain request): the ring's preference order for the payload's
 // key, walked member by member, skipping unhealthy members and members
 // whose breaker rejects, retrying retryable failures (poisoned
 // connections, dial failures, busy and draining rejections) on the
 // next alternate after a capped jittered backoff — up to
 // Retry.MaxRetries extra attempts. Deterministic failures (corrupt
-// input, over-cap payloads) return immediately.
-func (c *Cluster) Do(ctx context.Context, op byte, payload []byte) ([]byte, error) {
-	out, _, err := c.DoTraced(ctx, op, payload)
-	return out, err
-}
-
-// DoTraced is Do, also returning the serving backend's trace ID for
-// the winning attempt ("" when no attempt got far enough to be
-// traced).
-func (c *Cluster) DoTraced(ctx context.Context, op byte, payload []byte) ([]byte, string, error) {
-	return c.DoTracedDict(ctx, op, payload, "")
-}
-
-// DoTracedDict is DoTraced carrying a dictionary negotiation. The
-// dictionary ID is folded into the routing key: the same (payload,
-// dictionary) pair prefers the same backend, so per-backend result
-// caches see each dictionary variant consistently.
-func (c *Cluster) DoTracedDict(ctx context.Context, op byte, payload []byte, dictID string) ([]byte, string, error) {
+// input, over-cap payloads) return immediately. It also returns the
+// serving backend's trace ID for the winning attempt ("" when no
+// attempt got far enough to be traced). The dictionary ID is folded
+// into the routing key: the same (payload, dictionary) pair prefers the
+// same backend, so per-backend result caches see each dictionary
+// variant consistently.
+func (c *Cluster) DoDict(ctx context.Context, op byte, payload []byte, dictID string) ([]byte, string, error) {
 	if k := cObs.Load(); k != nil {
 		k.requests.Inc()
 	}

@@ -121,6 +121,26 @@ func (b *testBackend) restart() {
 	}
 }
 
+// plainDo sends msg without a request ID on a fresh connection to addr,
+// as a client that does not pipeline does, and returns the response.
+func plainDo(t *testing.T, addr string, msg *server.Message) *server.Message {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	if err := server.WriteMessage(c, msg); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := server.ReadMessage(c, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func newTestCluster(t *testing.T, specs []BackendSpec, mut func(*Config)) *Cluster {
 	t.Helper()
 	cfg := Config{
@@ -282,7 +302,7 @@ func TestFrontOversizeThroughSmallerBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	mx, err := client.DialMux(addr, 0)
+	mx, err := client.DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,17 +331,12 @@ func TestFrontOversizeAnswersTooLarge(t *testing.T) {
 	defer f.Close()
 	payload := bytes.Repeat([]byte{7}, 4<<10)
 
-	tc, err := client.DialTCP(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	if _, err := tc.Compress(payload); !errors.Is(err, server.ErrTooLarge) {
+	resp := plainDo(t, addr, &server.Message{Op: server.OpCompress, Payload: payload})
+	if err := server.StatusErr(resp.Status, resp.Payload); !errors.Is(err, server.ErrTooLarge) {
 		t.Fatalf("serial client: want ErrTooLarge, got %v", err)
 	}
 
-	mx, err := client.DialMux(addr, 0)
+	mx, err := client.DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +592,7 @@ func TestFrontRoutesPipelined(t *testing.T) {
 	}
 	defer f.Close()
 
-	m, err := client.DialMux(addr, 0)
+	m, err := client.DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,12 +114,12 @@ func (f *Front) serve(r server.Reply, msg *server.Message) {
 // computing request's backend trace ID.
 func (f *Front) route(ctx context.Context, msg *server.Message) (out []byte, traceID string, err error) {
 	if f.cache == nil || msg.Op != server.OpCompress {
-		return f.c.DoTracedDict(ctx, msg.Op, msg.Payload, msg.DictID)
+		return f.c.DoDict(ctx, msg.Op, msg.Payload, msg.DictID)
 	}
 	key := cache.KeyFor(msg.Payload, frontFingerprint, msg.DictID)
 	out, _, err = f.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
 		var cerr error
-		out, traceID, cerr = f.c.DoTracedDict(ctx, server.OpCompress, msg.Payload, msg.DictID)
+		out, traceID, cerr = f.c.DoDict(ctx, server.OpCompress, msg.Payload, msg.DictID)
 		return out, cerr
 	}, nil)
 	return out, traceID, err

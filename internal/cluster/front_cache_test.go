@@ -59,13 +59,6 @@ func TestFrontDictRoundTripAndCache(t *testing.T) {
 	}
 	t.Cleanup(func() { f.Close() }) //nolint:errcheck
 
-	tc, err := client.DialTCP(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
-
 	p := workload.JSONish(48<<10, 77)
 	dictBytes, err := dict.Builtin("json")
 	if err != nil {
@@ -73,25 +66,35 @@ func TestFrontDictRoundTripAndCache(t *testing.T) {
 	}
 	lim := backs[0].current().Config().Decode
 
-	z, err := tc.CompressDict(p, "json")
-	if err != nil {
-		t.Fatalf("compress through front: %v", err)
+	// The first compress is a plain request, so the echo is read off the
+	// response header.
+	resp := plainDo(t, addr, &server.Message{Op: server.OpCompress, Payload: p, DictID: "json"})
+	if resp.Status != server.StatusOK {
+		t.Fatalf("compress through front: %v", server.StatusErr(resp.Status, resp.Payload))
 	}
-	if tc.LastDictID() != "json" {
-		t.Fatalf("front echoed dict %q, want json", tc.LastDictID())
+	if resp.DictID != "json" {
+		t.Fatalf("front echoed dict %q, want json", resp.DictID)
 	}
+	z := resp.Payload
 	got, err := deflate.ZlibDecompressDictLimited(z, dictBytes, lim)
 	if err != nil || !bytes.Equal(got, p) {
 		t.Fatalf("local dict decode: %v (match=%v)", err, bytes.Equal(got, p))
 	}
-	back, err := tc.DecompressDict(z, "json")
+	tc, err := client.DialMuxTimeout(addr, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	back, err := tc.DecompressDict(ctx, z, "json")
 	if err != nil || !bytes.Equal(back, p) {
 		t.Fatalf("decompress through front: %v (match=%v)", err, bytes.Equal(back, p))
 	}
 
 	// Repeat the compress: the front cache must answer it itself, with
 	// the same bytes.
-	z2, err := tc.CompressDict(p, "json")
+	z2, err := tc.CompressDict(ctx, p, "json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +108,10 @@ func TestFrontDictRoundTripAndCache(t *testing.T) {
 
 	// A dictionary no backend holds: StatusUnknownDict surfaces as
 	// ErrUnknownDict through the front, and the connection survives.
-	if _, err := tc.CompressDict(p, "nope"); !errors.Is(err, server.ErrUnknownDict) {
+	if _, err := tc.CompressDict(ctx, p, "nope"); !errors.Is(err, server.ErrUnknownDict) {
 		t.Fatalf("unknown dict through front: %v, want ErrUnknownDict", err)
 	}
-	if _, err := tc.Compress([]byte("still alive")); err != nil {
+	if _, err := tc.Compress(ctx, []byte("still alive")); err != nil {
 		t.Fatalf("connection unusable after unknown-dict rejection: %v", err)
 	}
 }
@@ -126,7 +129,7 @@ func TestFrontCacheStampede(t *testing.T) {
 	}
 	t.Cleanup(func() { f.Close() }) //nolint:errcheck
 
-	m, err := client.DialMux(addr, 0)
+	m, err := client.DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -72,15 +73,16 @@ func TestFrontSALevelRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tc, err := client.DialTCP(addr, 0)
+			tc, err := client.DialMuxTimeout(addr, 0, 0)
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer tc.Close()
-			tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
 			for _, p := range payloads {
-				z, err := tc.Compress(p)
+				z, err := tc.Compress(ctx, p)
 				if err != nil {
 					errs <- err
 					return
@@ -90,7 +92,7 @@ func TestFrontSALevelRoundTrip(t *testing.T) {
 					errs <- fmt.Errorf("local re-inflate of %d-byte payload: %v", len(p), err)
 					return
 				}
-				back, err := tc.Decompress(z)
+				back, err := tc.Decompress(ctx, z)
 				if err != nil || !bytes.Equal(back, p) {
 					errs <- fmt.Errorf("front decompress of %d-byte payload: %v", len(p), err)
 					return

@@ -16,10 +16,17 @@ import (
 // token.Expand(ParseCommands(x)) equals Inflate(x) for every valid x;
 // the property is enforced by tests.
 func ParseCommands(data []byte) ([]token.Command, error) {
+	_, cmds, err := inflateCommands(data)
+	return cmds, err
+}
+
+// inflateCommands is ParseCommands also returning the decoded bytes.
+func inflateCommands(data []byte) ([]byte, []token.Command, error) {
 	f := newInflater(bitio.NewReaderBytes(data), DefaultDecodeLimits(), 0)
 	f.record = true
-	if _, err := f.inflate(nil, math.MaxInt); err != nil {
-		return nil, err
+	out, err := f.inflate(nil, math.MaxInt)
+	if err != nil {
+		return nil, nil, err
 	}
-	return f.cmds, nil
+	return out, f.cmds, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 
 	"lzssfpga/internal/bitio"
+	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/token"
 )
@@ -292,7 +293,7 @@ func bodyBuf(prefix []byte, cmds []token.Command) []byte {
 
 // appendAdler appends the zlib trailer, src's Adler-32, to out.
 func appendAdler(out, src []byte) []byte {
-	return binary.BigEndian.AppendUint32(out, AdlerChecksum(src))
+	return binary.BigEndian.AppendUint32(out, checksum.Adler32Sum(src))
 }
 
 // CommandBits returns the encoded size of c in bits under the fixed
@@ -407,7 +408,7 @@ func ZlibCompressDict(data, dict []byte, p lzss.Params) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr, err := zlibDictHeader(p.Window, AdlerChecksum(dict))
+	hdr, err := zlibDictHeader(p.Window, checksum.Adler32Sum(dict))
 	if err != nil {
 		return nil, err
 	}

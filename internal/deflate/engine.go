@@ -20,20 +20,6 @@ import (
 // process here, and the request path recycles everything else (jobs,
 // reorder state, segment bodies) through pools and the engine arena.
 
-// SegmentAdaptive, passed as ParallelOpts.Segment, lets the engine's
-// online sizer choose the cut: segment size then tracks observed
-// per-segment service time (see engine.Sizer). Adaptive cuts trade the fixed-segment determinism
-// guarantee — two runs over the same data may segment differently —
-// for steadier worker utilization; the default and any explicit
-// segment size remain byte-deterministic.
-const SegmentAdaptive = -1
-
-// adaptiveSizer steps the adaptive cut between 64 KiB and 2 MiB, aiming
-// for segments that keep a worker busy for single-digit milliseconds —
-// long enough to amortize scheduling, short enough to stream through
-// the reorder buffer without latency spikes.
-var adaptiveSizer = engine.NewSizer(64<<10, 2<<20, 256<<10, 2*time.Millisecond, 12*time.Millisecond)
-
 // defaultEng is the process-wide engine, built on first use. The floor
 // of four workers keeps blocking-heavy work (fault-injected stalls, the
 // resilient retry loop) overlapped even on a single-core box; CPU-bound
@@ -113,7 +99,6 @@ type parallelRun struct {
 	p                         lzss.Params
 	o                         ParallelOpts
 	rt                        *obs.RequestTrace
-	adaptive                  bool
 	retries, panics, degraded atomic.Int64
 }
 
@@ -184,9 +169,6 @@ func (j *pjob) Run(wid int) {
 	// residence on the worker — including resilient retries and injected
 	// stalls, which is exactly what a latency investigation needs to see.
 	r.rt.AddCompress(time.Since(start))
-	if r.adaptive && err == nil {
-		adaptiveSizer.Observe(j.hi-j.lo, time.Since(start))
-	}
 	j.req.Complete(j.idx, body, err)
 }
 
@@ -240,14 +222,9 @@ func segHint(segLen int) int {
 // segPlan is the driver's segmentation arithmetic.
 type segPlan struct {
 	segment, nSeg int
-	adaptive      bool
 }
 
 func planSegments(dataLen, segment int) segPlan {
-	adaptive := segment == SegmentAdaptive
-	if adaptive {
-		segment = adaptiveSizer.Value()
-	}
 	if segment <= 0 {
 		segment = 256 << 10
 	}
@@ -255,7 +232,7 @@ func planSegments(dataLen, segment int) segPlan {
 	if nSeg == 0 {
 		nSeg = 1
 	}
-	return segPlan{segment: segment, nSeg: nSeg, adaptive: adaptive}
+	return segPlan{segment: segment, nSeg: nSeg}
 }
 
 // dictLow is where segment i's matcher history starts: the segment

@@ -71,6 +71,41 @@ func GzipCompress(data []byte, p lzss.Params, name string) ([]byte, error) {
 // verifies CRC32 and ISIZE. It returns the data and the stored name
 // (empty if none).
 func GzipDecompress(data []byte) ([]byte, string, error) {
+	body, name, err := gzipBody(data)
+	if err != nil {
+		return nil, "", err
+	}
+	out, err := Inflate(body)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := gzipTrailer(data, out); err != nil {
+		return nil, "", err
+	}
+	return out, name, nil
+}
+
+// GzipCommands exposes the body's command stream (for the hardware
+// decompressor model). It makes the checks GzipDecompress makes, CRC32
+// and ISIZE included, from the one inflation that records the commands.
+func GzipCommands(data []byte) ([]token.Command, error) {
+	body, _, err := gzipBody(data)
+	if err != nil {
+		return nil, err
+	}
+	out, cmds, err := inflateCommands(body)
+	if err != nil {
+		return nil, err
+	}
+	if err := gzipTrailer(data, out); err != nil {
+		return nil, err
+	}
+	return cmds, nil
+}
+
+// gzipBody parses an RFC 1952 header and returns the Deflate body, which
+// runs up to the 8-byte trailer, and the stored name (empty if none).
+func gzipBody(data []byte) (body []byte, name string, err error) {
 	if len(data) < 18 {
 		return nil, "", fmt.Errorf("%w: gzip stream too short", ErrCorrupt)
 	}
@@ -89,7 +124,6 @@ func GzipDecompress(data []byte) ([]byte, string, error) {
 		xlen := int(binary.LittleEndian.Uint16(data[pos:]))
 		pos += 2 + xlen
 	}
-	name := ""
 	if flg&gzipFNAME != 0 {
 		end := pos
 		for end < len(data) && data[end] != 0 {
@@ -116,50 +150,17 @@ func GzipDecompress(data []byte) ([]byte, string, error) {
 	if pos+8 > len(data) {
 		return nil, "", fmt.Errorf("%w: gzip header overruns stream", ErrCorrupt)
 	}
-	body := data[pos : len(data)-8]
-	out, err := Inflate(body)
-	if err != nil {
-		return nil, "", err
-	}
-	tr := data[len(data)-8:]
-	if got, want := checksum.CRC32(out), binary.LittleEndian.Uint32(tr[0:]); got != want {
-		return nil, "", fmt.Errorf("%w: gzip crc32 %08x != %08x", ErrCorrupt, got, want)
-	}
-	if got, want := uint32(len(out)), binary.LittleEndian.Uint32(tr[4:]); got != want {
-		return nil, "", fmt.Errorf("%w: gzip isize %d != %d", ErrCorrupt, got, want)
-	}
-	return out, name, nil
+	return data[pos : len(data)-8], name, nil
 }
 
-// GzipCommands exposes the body's command stream (for the hardware
-// decompressor model).
-func GzipCommands(data []byte) ([]token.Command, error) {
-	out, _, err := GzipDecompress(data)
-	if err != nil {
-		return nil, err
+// gzipTrailer checks the stream's CRC32 and ISIZE against out.
+func gzipTrailer(data, out []byte) error {
+	tr := data[len(data)-8:]
+	if got, want := checksum.CRC32(out), binary.LittleEndian.Uint32(tr[0:]); got != want {
+		return fmt.Errorf("%w: gzip crc32 %08x != %08x", ErrCorrupt, got, want)
 	}
-	_ = out
-	// Re-locate the body: simplest correct approach is to re-parse the
-	// header the same way.
-	flg := data[3]
-	pos := 10
-	if flg&0x04 != 0 {
-		pos += 2 + int(binary.LittleEndian.Uint16(data[pos:]))
+	if got, want := uint32(len(out)), binary.LittleEndian.Uint32(tr[4:]); got != want {
+		return fmt.Errorf("%w: gzip isize %d != %d", ErrCorrupt, got, want)
 	}
-	if flg&gzipFNAME != 0 {
-		for data[pos] != 0 {
-			pos++
-		}
-		pos++
-	}
-	if flg&0x10 != 0 {
-		for data[pos] != 0 {
-			pos++
-		}
-		pos++
-	}
-	if flg&0x02 != 0 {
-		pos += 2
-	}
-	return ParseCommands(data[pos : len(data)-8])
+	return nil
 }

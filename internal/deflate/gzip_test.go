@@ -66,26 +66,28 @@ func TestGzipDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CRC32 trailer flip.
-	bad := append([]byte(nil), z...)
-	bad[len(bad)-5] ^= 1
-	if _, _, err := GzipDecompress(bad); err == nil {
-		t.Fatal("corrupt crc accepted")
+	flip := func(i int) []byte {
+		bad := append([]byte(nil), z...)
+		bad[i] ^= 1
+		return bad
 	}
-	// ISIZE flip.
-	bad2 := append([]byte(nil), z...)
-	bad2[len(bad2)-1] ^= 1
-	if _, _, err := GzipDecompress(bad2); err == nil {
-		t.Fatal("corrupt isize accepted")
-	}
-	// Magic flip.
-	bad3 := append([]byte(nil), z...)
-	bad3[0] = 0x1E
-	if _, _, err := GzipDecompress(bad3); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, _, err := GzipDecompress(z[:10]); err == nil {
-		t.Fatal("truncated stream accepted")
+	// GzipDecompress and GzipCommands read the container alike: each
+	// rejects every damaged stream.
+	for _, c := range []struct {
+		what string
+		in   []byte
+	}{
+		{"corrupt crc", flip(len(z) - 5)},
+		{"corrupt isize", flip(len(z) - 1)},
+		{"bad magic", flip(0)},
+		{"truncated stream", z[:10]},
+	} {
+		if _, _, err := GzipDecompress(c.in); err == nil {
+			t.Fatalf("GzipDecompress: %s accepted", c.what)
+		}
+		if _, err := GzipCommands(c.in); err == nil {
+			t.Fatalf("GzipCommands: %s accepted", c.what)
+		}
 	}
 }
 
@@ -139,6 +141,22 @@ func TestZlibDictStdlibInterop(t *testing.T) {
 	// Wrong dictionary must be rejected by DICTID.
 	if _, err := ZlibDecompressDict(z, []byte("wrong")); err == nil {
 		t.Fatal("wrong dictionary accepted")
+	}
+	// The containers do not cross: the plain decoder refuses an FDICT
+	// stream, and a nil dictionary is an empty one, so the dictionary
+	// decoder still refuses a plain stream.
+	if _, err := ZlibDecompress(z); err == nil {
+		t.Fatal("FDICT stream decoded without its dictionary")
+	}
+	var plain bytes.Buffer
+	zw, err := zlibNewWriterDict(&plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(data)
+	zw.Close()
+	if _, err := ZlibDecompressDict(plain.Bytes(), nil); err == nil {
+		t.Fatal("plain stream decoded by the dictionary decoder")
 	}
 }
 

@@ -1,11 +1,13 @@
 package deflate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"lzssfpga/internal/bitio"
+	"lzssfpga/internal/checksum"
 )
 
 // ErrLimit reports that a stream, while possibly well-formed, asked the
@@ -76,36 +78,8 @@ func InflateLimited(data []byte, lim DecodeLimits) (out []byte, err error) {
 // ZlibDecompressLimited parses an RFC 1950 container under lim,
 // inflates the body, and verifies the Adler-32 trailer. Same no-panic
 // and error-typing guarantees as InflateLimited.
-func ZlibDecompressLimited(data []byte, lim DecodeLimits) (out []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("%w: panic during decode: %v", ErrCorrupt, r)
-		}
-	}()
-	if len(data) < 6 {
-		return nil, fmt.Errorf("%w: zlib stream too short: %w", ErrCorrupt, io.ErrUnexpectedEOF)
-	}
-	cmf, flg := data[0], data[1]
-	if cmf&0x0F != 8 {
-		return nil, fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
-	}
-	if (uint32(cmf)*256+uint32(flg))%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header check", ErrCorrupt)
-	}
-	if flg&0x20 != 0 {
-		return nil, fmt.Errorf("%w: preset dictionary unsupported", ErrCorrupt)
-	}
-	body := data[2 : len(data)-4]
-	out, err = InflateLimited(body, lim)
-	if err != nil {
-		return nil, err
-	}
-	tr := data[len(data)-4:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
-	if got := AdlerChecksum(out); got != want {
-		return nil, fmt.Errorf("%w: adler32 %08x != %08x", ErrCorrupt, got, want)
-	}
-	return out, nil
+func ZlibDecompressLimited(data []byte, lim DecodeLimits) ([]byte, error) {
+	return zlibDecompress(data, nil, lim)
 }
 
 // ZlibDecompressDictLimited is ZlibDecompressDict under DecodeLimits:
@@ -115,41 +89,66 @@ func ZlibDecompressLimited(data []byte, lim DecodeLimits) (out []byte, err error
 // is verified against dict, and the output cap applies to the produced
 // bytes — the seeded history does not consume limit budget. Same
 // no-panic and error-typing guarantees as ZlibDecompressLimited.
-func ZlibDecompressDictLimited(data, dict []byte, lim DecodeLimits) (out []byte, err error) {
+func ZlibDecompressDictLimited(data, dict []byte, lim DecodeLimits) ([]byte, error) {
+	if dict == nil {
+		dict = []byte{} // an empty dictionary: the stream must still carry FDICT
+	}
+	return zlibDecompress(data, dict, lim)
+}
+
+// zlibHeader checks an RFC 1950 header's method and check bits, and
+// that it announces a preset dictionary exactly when the caller has one.
+func zlibHeader(cmf, flg uint32, dict bool) error {
+	if cmf&0x0F != 8 {
+		return fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
+	}
+	if (cmf*256+flg)%31 != 0 {
+		return fmt.Errorf("%w: zlib header check", ErrCorrupt)
+	}
+	if fdict := flg&0x20 != 0; fdict != dict {
+		if dict {
+			return fmt.Errorf("%w: stream has no preset dictionary", ErrCorrupt)
+		}
+		return fmt.Errorf("%w: preset dictionary unsupported", ErrCorrupt)
+	}
+	return nil
+}
+
+// zlibDecompress is the body of both zlib decoders: a nil dict rejects
+// an FDICT stream, any other dict requires one whose DICTID matches it.
+func zlibDecompress(data, dict []byte, lim DecodeLimits) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, fmt.Errorf("%w: panic during decode: %v", ErrCorrupt, r)
 		}
 	}()
-	if len(data) < 10 {
-		return nil, fmt.Errorf("%w: dictionary zlib stream too short: %w", ErrCorrupt, io.ErrUnexpectedEOF)
+	body := 2
+	if dict != nil {
+		body = 6
 	}
-	cmf, flg := data[0], data[1]
-	if cmf&0x0F != 8 {
-		return nil, fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
+	if len(data) < body+4 {
+		if dict != nil {
+			return nil, fmt.Errorf("%w: dictionary zlib stream too short: %w", ErrCorrupt, io.ErrUnexpectedEOF)
+		}
+		return nil, fmt.Errorf("%w: zlib stream too short: %w", ErrCorrupt, io.ErrUnexpectedEOF)
 	}
-	if (uint32(cmf)*256+uint32(flg))%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header check", ErrCorrupt)
+	if err := zlibHeader(uint32(data[0]), uint32(data[1]), dict != nil); err != nil {
+		return nil, err
 	}
-	if flg&0x20 == 0 {
-		return nil, fmt.Errorf("%w: stream has no preset dictionary", ErrCorrupt)
+	var hist []byte
+	if dict != nil {
+		dictID := binary.BigEndian.Uint32(data[2:])
+		if got := checksum.Adler32Sum(dict); got != dictID {
+			return nil, fmt.Errorf("%w: DICTID %08x does not match dictionary %08x", ErrCorrupt, dictID, got)
+		}
+		hist = dict[max(len(dict)-32768, 0):]
 	}
-	dictID := uint32(data[2])<<24 | uint32(data[3])<<16 | uint32(data[4])<<8 | uint32(data[5])
-	if got := AdlerChecksum(dict); got != dictID {
-		return nil, fmt.Errorf("%w: DICTID %08x does not match dictionary %08x", ErrCorrupt, dictID, got)
-	}
-	hist := dict
-	if len(hist) > 32768 {
-		hist = hist[len(hist)-32768:]
-	}
-	full, err := inflateAll(data[6:len(data)-4], hist, lim)
+	full, err := inflateAll(data[body:len(data)-4], hist, lim)
 	if err != nil {
 		return nil, err
 	}
 	out = full[len(hist):]
-	tr := data[len(data)-4:]
-	want := uint32(tr[0])<<24 | uint32(tr[1])<<16 | uint32(tr[2])<<8 | uint32(tr[3])
-	if got := AdlerChecksum(out); got != want {
+	if got, want := checksum.Adler32Sum(out), binary.BigEndian.Uint32(data[len(data)-4:]); got != want {
 		return nil, fmt.Errorf("%w: adler32 %08x != %08x", ErrCorrupt, got, want)
 	}
 	return out, nil

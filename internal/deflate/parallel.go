@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/engine"
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/obs"
@@ -58,10 +59,10 @@ func getSegWorker(p lzss.Params) (*segWorker, error) {
 	return w, nil
 }
 
-// putSegWorker drops references into the caller's data before pooling,
-// so a cached worker never pins a user buffer.
+// putSegWorker pools w. It holds no reference to the caller's data:
+// CompressReuse and CompressTail return with the matcher released, and
+// commands hold no input bytes.
 func putSegWorker(w *segWorker) {
-	w.m.Reset(nil)
 	w.cmds = w.cmds[:0]
 	w.tr = nil
 	segWorkerPool.Put(w)
@@ -71,9 +72,8 @@ func putSegWorker(w *segWorker) {
 // default segment size and worker count, independent segments, a plain
 // zlib stream returned in one buffer, the fast path.
 type ParallelOpts struct {
-	// Segment is the cut size in bytes (0 selects 256 KiB, a good
-	// ratio/parallelism balance; SegmentAdaptive lets the engine's sizer
-	// choose, trading determinism for utilization). Workers caps the
+	// Segment is the cut size in bytes (0 or less selects 256 KiB, a
+	// good ratio/parallelism balance). Workers caps the
 	// call's in-flight segments on the shared engine; 0 means GOMAXPROCS
 	// on the fast path and the engine's full width when Resilient.
 	Segment int
@@ -175,7 +175,7 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 		// front of the segment); it is linear and dwarfed by matching.
 		data = append(append(make([]byte, 0, len(tail)+len(data)), tail...), data...)
 		base = len(tail)
-		dh, _ := zlibDictHeader(p.Window, AdlerChecksum(o.Dict)) // window validated above
+		dh, _ := zlibDictHeader(p.Window, checksum.Adler32Sum(o.Dict)) // window validated above
 		hdr = dh[:]
 	}
 	workers := o.Workers
@@ -194,7 +194,7 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 	splitStart := time.Now()
 	plan := planSegments(len(data)-base, o.Segment)
 	rep.Segments = plan.nSeg
-	run := &parallelRun{ctx: ctx, data: data, p: p, o: o, rt: obs.RequestFromContext(ctx), adaptive: plan.adaptive}
+	run := &parallelRun{ctx: ctx, data: data, p: p, o: o, rt: obs.RequestFromContext(ctx)}
 
 	// write lands stream bytes in the returned buffer (preallocated from
 	// the running ratio estimate) or the sink. After the first failure it
@@ -260,7 +260,7 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 	// Finalize: Adler-32 trailer onto the streamed body bytes (the
 	// preset-history prefix is matched against but never summed).
 	assembleStart := time.Now()
-	sum := AdlerChecksum(data[base:])
+	sum := checksum.Adler32Sum(data[base:])
 	write([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
 	if firstErr != nil {
 		return nil, rep, fmt.Errorf("deflate: parallel compress: %w", firstErr)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"lzssfpga/internal/engine"
@@ -193,26 +194,42 @@ func BenchmarkParallelCompressDict(b *testing.B) {
 	}
 }
 
-func TestParallelAdaptiveSegmentRoundTrip(t *testing.T) {
-	// SegmentAdaptive gives up byte-determinism (the sizer may cut
-	// differently run to run) but never correctness: every run must
-	// still decode byte-exact, with both the plain and carry paths.
-	data := workload.Wiki(3<<20, 72)
-	p := lzss.HWSpeedParams()
-	for _, carry := range []bool{false, true} {
-		for run := 0; run < 3; run++ {
-			z, err := compressPar(data, p, ParallelOpts{Segment: SegmentAdaptive, Carry: carry})
-			if err != nil {
-				t.Fatalf("carry=%v run=%d: %v", carry, run, err)
+// TestPooledSegWorkerDoesNotPinInput: a segment worker goes back to its
+// pool holding no reference to the caller's input, on the plain, carry
+// and resilient paths and with the suffix-array matcher, whose index
+// also binds the input. One collection must free the input: sync.Pool
+// moves its contents to the victim cache at the start of a collection,
+// so a pooled worker still holding the input would keep it alive
+// through that cycle.
+func TestPooledSegWorkerDoesNotPinInput(t *testing.T) {
+	hw := lzss.HWSpeedParams()
+	for _, c := range []struct {
+		name string
+		p    lzss.Params
+		o    ParallelOpts
+	}{
+		{"plain", hw, ParallelOpts{Segment: 16 << 10}},
+		{"carry", hw, ParallelOpts{Segment: 16 << 10, Carry: true}},
+		{"resilient", hw, ParallelOpts{Segment: 16 << 10, Resilient: true}},
+		{"suffix-array", lzss.SARatioParams(lzss.LevelSAMin), ParallelOpts{Segment: 16 << 10}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			freed := make(chan struct{})
+			func() {
+				in := new([64 << 10]byte)
+				copy(in[:], workload.Wiki(len(in), 5))
+				runtime.SetFinalizer(in, func(*[64 << 10]byte) { close(freed) })
+				if _, err := compressPar(in[:], c.p, c.o); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the input outlived a collection: a pooled segment worker still references it")
 			}
-			out, err := ZlibDecompress(z)
-			if err != nil || !bytes.Equal(out, data) {
-				t.Fatalf("carry=%v run=%d: round trip: %v", carry, run, err)
-			}
-		}
-	}
-	if got := adaptiveSizer.Value(); got < 64<<10 || got > 2<<20 {
-		t.Fatalf("adaptive sizer left its bounds: %d", got)
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/engine"
 	"lzssfpga/internal/faultinject"
 	"lzssfpga/internal/lzss"
@@ -46,7 +47,7 @@ func serialReference(t *testing.T, data []byte, p lzss.Params, segment int, carr
 		out = append(out, body.B...)
 		engine.PutBuf(body)
 	}
-	sum := AdlerChecksum(data)
+	sum := checksum.Adler32Sum(data)
 	return append(out, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum))
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"lzssfpga/internal/bitio"
+	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/token"
 )
@@ -19,7 +20,7 @@ type Writer struct {
 	w       io.Writer
 	enc     blockWriter
 	sc      *lzss.StreamCompressor
-	adler   *Adler32
+	adler   *checksum.Adler32
 	pending []token.Command
 	window  int
 	closed  bool
@@ -59,7 +60,7 @@ func NewWriter(w io.Writer, p lzss.Params) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	zw := &Writer{w: w, sc: sc, adler: NewAdler32(), window: p.Window}
+	zw := &Writer{w: w, sc: sc, adler: checksum.NewAdler32(), window: p.Window}
 	// The output buffer is reused block after block; starting it at
 	// 4 KiB spares a small stream the regrowth from empty.
 	zw.enc.bw.Reset(append(make([]byte, 0, 4096), hdr[:]...))
@@ -217,7 +218,7 @@ func (d *StreamInflater) Read(p []byte) (int, error) {
 // incremental inflate, Adler-32 verification at end of stream.
 type Reader struct {
 	d     *StreamInflater
-	adler *Adler32
+	adler *checksum.Adler32
 	eof   bool
 	err   error
 }
@@ -234,16 +235,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, normEOF(err)
 	}
-	if cmf&0x0F != 8 {
-		return nil, fmt.Errorf("%w: compression method %d", ErrCorrupt, cmf&0x0F)
+	if err := zlibHeader(cmf, flg, false); err != nil {
+		return nil, err
 	}
-	if (cmf*256+flg)%31 != 0 {
-		return nil, fmt.Errorf("%w: zlib header check", ErrCorrupt)
-	}
-	if flg&0x20 != 0 {
-		return nil, fmt.Errorf("%w: preset dictionary unsupported", ErrCorrupt)
-	}
-	return &Reader{d: d, adler: NewAdler32()}, nil
+	return &Reader{d: d, adler: checksum.NewAdler32()}, nil
 }
 
 // Read implements io.Reader; on clean EOF the Adler-32 trailer has been

@@ -1,9 +1,8 @@
 // Package engine is the persistent execution core of the parallel
 // compression pipeline: a fixed set of long-lived worker goroutines
 // reading one bounded job queue, a per-request reorder window that
-// streams completed segments back in index order (reorder.go), a
-// size-classed buffer arena (arena.go) and an online segment-size
-// adapter (sizer.go).
+// streams completed segments back in index order (reorder.go) and a
+// size-classed buffer arena (arena.go).
 //
 // The engine exists to amortize setup across requests, the way the
 // paper's hardware pipeline amortizes it across blocks: goroutines are

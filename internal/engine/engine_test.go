@@ -351,34 +351,6 @@ func TestArenaClassesAndReuse(t *testing.T) {
 	PutBuf(b)
 }
 
-func TestSizerStepsWithinBounds(t *testing.T) {
-	s := NewSizer(64<<10, 1<<20, 256<<10, 2*time.Millisecond, 12*time.Millisecond)
-	// Persistently fast chunks: size must grow to the cap and stop.
-	for i := 0; i < 100; i++ {
-		s.Observe(s.Value(), 100*time.Microsecond)
-	}
-	if s.Value() != 1<<20 {
-		t.Fatalf("fast chunks: size = %d, want max %d", s.Value(), 1<<20)
-	}
-	// Persistently slow chunks: size must shrink to the floor and stop.
-	for i := 0; i < 100; i++ {
-		s.Observe(s.Value(), 500*time.Millisecond)
-	}
-	if s.Value() != 64<<10 {
-		t.Fatalf("slow chunks: size = %d, want min %d", s.Value(), 64<<10)
-	}
-	// In-band observations leave the size alone.
-	v := s.Value()
-	for i := 0; i < 50; i++ {
-		s.Observe(s.Value(), 6*time.Millisecond)
-	}
-	if s.Value() != v {
-		t.Fatalf("in-band chunks moved size %d -> %d", v, s.Value())
-	}
-	s.Observe(0, time.Millisecond) // degenerate inputs are ignored
-	s.Observe(1024, 0)
-}
-
 func TestEngineCloseLeavesNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := New(Config{Workers: 8})

@@ -24,7 +24,6 @@ type engSink struct {
 	arenaMisses  *obs.Counter
 	queueDepth   *obs.Histogram
 	reorderDepth *obs.Histogram
-	segmentBytes *obs.Gauge
 }
 
 var engObs atomic.Pointer[engSink]
@@ -44,6 +43,5 @@ func SetObservability(reg *obs.Registry) {
 		arenaMisses:  reg.Counter(obs.EngineArenaMisses),
 		queueDepth:   reg.Histogram(obs.EngineQueueDepth, queueDepthBounds),
 		reorderDepth: reg.Histogram(obs.EngineReorderOccupancy, reorderBounds),
-		segmentBytes: reg.Gauge(obs.EngineSegmentBytes),
 	})
 }

@@ -1,9 +1,18 @@
+// Package etherlink models the front half of the paper's testbench: the
+// PC sends the data block to the board over Ethernet, where it is
+// staged into DDR2 before compression. The paper excludes this transfer
+// from the compression timing; the model makes that explicit by
+// reporting staging time separately, and it implements the wire-level
+// details (frame segmentation, FCS) so the staging path is a real
+// substrate rather than a stopwatch.
 package etherlink
 
 import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"lzssfpga/internal/checksum"
 )
 
 // Frame carries one Ethernet II frame of the staging transfer. Payload
@@ -71,7 +80,7 @@ func frameCount(size int) (int, error) {
 // fcsSeed is the CRC state after the synthetic Ethernet-II header that
 // every FCS covers first: zero MACs and ethertype 0x88B5 (local
 // experimental).
-var fcsSeed = CRC32Update(0, []byte{12: 0x88, 13: 0xB5})
+var fcsSeed = checksum.CRC32Update(0, []byte{12: 0x88, 13: 0xB5})
 
 // computeFCS covers the synthetic header, the big-endian sequence word
 // and the payload. The sequence word is folded a byte at a time here:
@@ -82,7 +91,7 @@ func (f Frame) computeFCS() uint32 {
 	for shift := 24; shift >= 0; shift -= 8 {
 		c = crc32.IEEETable[byte(c)^byte(f.Seq>>shift)] ^ c>>8
 	}
-	return CRC32Update(^c, f.Payload)
+	return checksum.CRC32Update(^c, f.Payload)
 }
 
 // Verify checks the FCS.

@@ -2,6 +2,7 @@ package etherlink
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -9,35 +10,37 @@ import (
 	"testing/quick"
 )
 
+// frameBytes is what a frame's FCS covers: the synthetic Ethernet-II
+// header (zero MACs, ethertype 0x88B5), the big-endian sequence word
+// and the payload.
+func frameBytes(f Frame) []byte {
+	b := append(make([]byte, 12), 0x88, 0xB5)
+	b = binary.BigEndian.AppendUint32(b, f.Seq)
+	return append(b, f.Payload...)
+}
+
+// TestCRC32MatchesStdlib: every FCS Segment computes, from the
+// precomputed header state with the sequence word folded a byte at a
+// time, is hash/crc32's CRC-32 of the frame's bytes.
 func TestCRC32MatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 64, 1500, 65536} {
 		data := make([]byte, n)
 		rng.Read(data)
-		if got, want := CRC32(data), crc32.ChecksumIEEE(data); got != want {
-			t.Fatalf("n=%d: crc %08x, want %08x", n, got, want)
+		for _, f := range mustSegment(t, data) {
+			if want := crc32.ChecksumIEEE(frameBytes(f)); f.FCS != want {
+				t.Fatalf("n=%d frame %d: fcs %08x, want %08x", n, f.Seq, f.FCS, want)
+			}
 		}
 	}
 }
 
-func TestCRC32UpdateIncremental(t *testing.T) {
-	data := []byte("incremental crc over ethernet frame payloads")
-	c := uint32(0)
-	for i := 0; i < len(data); i += 5 {
-		end := i + 5
-		if end > len(data) {
-			end = len(data)
-		}
-		c = CRC32Update(c, data[i:end])
-	}
-	if c != crc32.ChecksumIEEE(data) {
-		t.Fatal("incremental crc differs")
-	}
-}
-
+// TestQuickCRC32 is TestCRC32MatchesStdlib over random sequence words,
+// so every byte of the folded word varies.
 func TestQuickCRC32(t *testing.T) {
-	f := func(data []byte) bool {
-		return CRC32(data) == crc32.ChecksumIEEE(data)
+	f := func(seq uint32, payload []byte) bool {
+		fr := Frame{Seq: seq, Payload: payload}
+		return fr.computeFCS() == crc32.ChecksumIEEE(frameBytes(fr))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -34,14 +34,16 @@ func CompressAppend(dst []token.Command, src []byte, p Params) ([]token.Command,
 }
 
 // CompressReuse compresses src appending into dst, reusing m's hash
-// tables (the matcher is Reset to src first). The matching policy comes
-// from m's Params; m's Stats keep accumulating across calls. This is
-// the hot path of the pooled parallel pipeline: zero allocations when
-// dst has room for half a command per byte of src (see reserve).
+// tables (the matcher is Reset to src first, and holds no reference to
+// src on return). The matching policy comes from m's Params; m's Stats
+// keep accumulating across calls. This is the hot path of the pooled
+// parallel pipeline: zero allocations when dst has room for half a
+// command per byte of src (see reserve).
 func CompressReuse(dst []token.Command, m *Matcher, src []byte) []token.Command {
 	m.Reset(src)
 	m.stats.InputBytes += int64(len(src))
 	dst = compressBlock(m, src, reserve(dst, len(src)))
+	m.release()
 	m.FlushObs()
 	return dst
 }
@@ -63,8 +65,9 @@ func compressBlock(m *Matcher, src []byte, dst []token.Command) []token.Command 
 // buf[:origin] serving as preset history: the chains are warmed over
 // the prefix so early matches can reach back into it (distances may
 // exceed the number of produced bytes, up to Window-1 beyond). The
-// matcher is Reset to buf and must have been built with the desired
-// Params; matching over the tail is always greedy. This is the
+// matcher is Reset to buf, holds no reference to it on return, and must
+// have been built with the desired Params; matching over the tail is
+// always greedy. This is the
 // dictionary carry-over path of the parallel compressor — because
 // predecessor bytes are adjacent in the input, no dictionary copy is
 // needed — and the body of CompressWithDict.
@@ -73,6 +76,7 @@ func CompressTail(dst []token.Command, m *Matcher, buf []byte, origin int) []tok
 	m.stats.InputBytes += int64(len(buf) - origin)
 	m.InsertRange(0, m.insertEnd(origin))
 	dst, _, _ = compressGreedy(m, buf, reserve(dst, len(buf)-origin), origin, len(buf), 0)
+	m.release()
 	m.FlushObs()
 	return dst
 }

@@ -133,6 +133,17 @@ func (m *Matcher) Reset(src []byte) {
 	}
 }
 
+// release drops the matcher's references to its source block and
+// leaves the chains as they are, so a pooled matcher pins no caller's
+// input without paying a second head-table clear: the next Reset clears
+// them before any probe.
+func (m *Matcher) release() {
+	m.src = nil
+	if m.sam != nil {
+		m.sam.Reset(nil)
+	}
+}
+
 // slide drops the first shift positions of history — ZLib's
 // fill_window rotation, the software counterpart of the head-table
 // rotation the paper's hardware optimizes. The caller has already

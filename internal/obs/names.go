@@ -68,10 +68,10 @@ const (
 	DeflateStreamFlushes  = "deflate_stream_flushes_total"
 
 	// engine_* — the persistent compression engine (internal/engine):
-	// request and job accounting, worker busy time, arena hit rate,
-	// queue-depth and reorder-occupancy distributions, and the adaptive
-	// segment size. EngineShardBusyNs keeps its historical name (scrapes
-	// key on it); it sums every worker's job time.
+	// request and job accounting, worker busy time, arena hit rate, and
+	// queue-depth and reorder-occupancy distributions. EngineShardBusyNs
+	// keeps its historical name (scrapes key on it); it sums every
+	// worker's job time.
 	EngineRequests    = "engine_requests_total"
 	EngineJobs        = "engine_jobs_total"
 	EngineShardBusyNs = "engine_shard_busy_ns_total"
@@ -83,9 +83,6 @@ const (
 	// segments streamed out strictly in order).
 	EngineQueueDepth       = "engine_queue_depth"
 	EngineReorderOccupancy = "engine_reorder_occupancy"
-	// EngineSegmentBytes is the adaptive cut size most recently chosen
-	// by the sizer (only moves when adaptive segmentation is in use).
-	EngineSegmentBytes = "engine_segment_bytes"
 
 	// engine_cache_* — the content-addressed result cache in front of
 	// the engine (internal/cache): hit/miss/coalesce accounting for the

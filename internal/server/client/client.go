@@ -1,24 +1,22 @@
 // Package client is the Go client of the lzssd serving layer: a thin
-// HTTP client for the streaming endpoints, a framed-protocol TCP
-// client, and a multiplexing TCP connection (Mux) that pipelines many
-// concurrent requests on one socket. All of them return the server
-// package's typed errors (ErrBusy, ErrTooLarge, ErrCorrupt,
-// ErrDraining) so callers can branch on the failure class instead of
-// string-matching; transport failures additionally poison the
-// connection they happened on, and every call after that fails fast
-// with ErrConnPoisoned — a framing stream that errored mid-message is
-// in an unknown state, and reading on would misparse, not recover.
+// HTTP client for the streaming endpoints and a multiplexing framed-TCP
+// connection (Mux) that pipelines many concurrent requests on one
+// socket. Both return the server package's typed errors (ErrBusy,
+// ErrTooLarge, ErrCorrupt, ErrDraining) so callers can branch on the
+// failure class instead of string-matching; a transport failure
+// additionally poisons the Mux it happened on, and every call after that
+// fails fast with ErrConnPoisoned — a framing stream that errored
+// mid-message is in an unknown state, and reading on would misparse,
+// not recover.
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -29,11 +27,10 @@ import (
 
 // ErrConnPoisoned marks a framed-TCP connection whose transport state
 // is unknown: a send or receive failed partway, so message boundaries
-// are lost. Every subsequent call on the connection fails fast with an
-// error wrapping this sentinel (and, for in-flight multiplexed
-// requests, each pending call gets it too). It is a retryable failure
-// class: the request may be resent on a fresh connection — Redial — or
-// on another backend.
+// are lost. Every request in flight on the connection, and every later
+// call, fails with an error wrapping this sentinel. It is a retryable failure
+// class: the request may be resent on a freshly dialed Mux or on
+// another backend.
 var ErrConnPoisoned = errors.New("client: connection poisoned")
 
 // HTTP talks to lzssd's HTTP front.
@@ -293,119 +290,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// TCP talks the framed wire protocol over one connection. Not safe for
-// concurrent use — this client is strictly request/response per
-// connection; use Mux (or one TCP client per stream) for concurrency.
-type TCP struct {
-	addr     string
-	c        net.Conn
-	br       *bufio.Reader
-	maxResp  int
-	lastID   string
-	lastDict string
-	poisoned error // first transport failure; non-nil fails all later calls fast
-}
-
-// DialTCP connects to lzssd's framed TCP front. maxResp caps how large
-// a response payload the client will accept (0 selects 1 GiB).
-func DialTCP(addr string, maxResp int) (*TCP, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if maxResp <= 0 {
-		maxResp = 1 << 30
-	}
-	return &TCP{addr: addr, c: c, br: bufio.NewReader(c), maxResp: maxResp}, nil
-}
-
-// Close closes the connection.
-func (t *TCP) Close() error { return t.c.Close() }
-
-// SetDeadline bounds the next round trip.
-func (t *TCP) SetDeadline(d time.Time) error { return t.c.SetDeadline(d) }
-
-// Redial replaces a (typically poisoned) connection with a fresh one
-// to the same address and clears the poison. The old connection is
-// closed; on dial failure the client keeps its previous state.
-func (t *TCP) Redial() error {
-	c, err := net.Dial("tcp", t.addr)
-	if err != nil {
-		return err
-	}
-	t.c.Close()
-	t.c = c
-	t.br = bufio.NewReader(c)
-	t.poisoned = nil
-	return nil
-}
-
-// Compress round-trips data through the wire protocol and returns the
-// zlib stream.
-func (t *TCP) Compress(data []byte) ([]byte, error) {
-	return t.do(server.OpCompress, data, "")
-}
-
-// CompressDict is Compress negotiating the named preset dictionary via
-// the wire dict field. An unregistered name fails with
-// server.ErrUnknownDict (the connection stays usable).
-func (t *TCP) CompressDict(data []byte, dictID string) ([]byte, error) {
-	return t.do(server.OpCompress, data, dictID)
-}
-
-// Decompress round-trips a zlib stream and returns the raw bytes.
-func (t *TCP) Decompress(z []byte) ([]byte, error) {
-	return t.do(server.OpDecompress, z, "")
-}
-
-// DecompressDict is Decompress for a stream compressed against the
-// named preset dictionary.
-func (t *TCP) DecompressDict(z []byte, dictID string) ([]byte, error) {
-	return t.do(server.OpDecompress, z, dictID)
-}
-
-// LastTraceID returns the server-assigned trace ID carried by the most
-// recent response on this connection ("" before the first response, or
-// against a server predating the trace field). It keys into the
-// server's /debug/requests inspector and its slow-request log lines.
-func (t *TCP) LastTraceID() string { return t.lastID }
-
-// LastDictID returns the dictionary ID the most recent response echoed
-// ("" for responses to dictionary-less requests).
-func (t *TCP) LastDictID() string { return t.lastDict }
-
-func (t *TCP) do(op byte, data []byte, dictID string) ([]byte, error) {
-	if t.poisoned != nil {
-		return nil, fmt.Errorf("%w: %w", ErrConnPoisoned, t.poisoned)
-	}
-	// Every poisoning path wraps ErrConnPoisoned on the FIRST failure
-	// too (not just subsequent fail-fast calls), so the failing caller
-	// can classify it as the retryable poisoned-connection class — the
-	// same contract Mux's poisonAll gives its in-flight callers.
-	if err := server.WriteMessage(t.c, &server.Message{Op: op, Payload: data, DictID: dictID}); err != nil {
-		t.poisoned = err
-		return nil, fmt.Errorf("%w: sending request: %w", ErrConnPoisoned, err)
-	}
-	resp, err := server.ReadMessage(t.br, t.maxResp)
-	if err != nil {
-		// Includes ErrCorrupt rejections: a parser that bailed mid-frame
-		// leaves the stream unframed, so the connection is done either way.
-		t.poisoned = err
-		return nil, fmt.Errorf("%w: reading response: %w", ErrConnPoisoned, err)
-	}
-	if resp.Op != server.OpResponse {
-		err := fmt.Errorf("%w: unexpected op %d in response", server.ErrCorrupt, resp.Op)
-		t.poisoned = err
-		return nil, fmt.Errorf("%w: %w", ErrConnPoisoned, err)
-	}
-	t.lastID = resp.TraceID
-	t.lastDict = resp.DictID
-	if resp.Status != server.StatusOK {
-		// An in-band protocol error: framing stayed aligned, the
-		// connection remains usable.
-		return nil, server.StatusErr(resp.Status, resp.Payload)
-	}
-	return resp.Payload, nil
 }

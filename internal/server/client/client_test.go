@@ -62,140 +62,12 @@ func fakeBackend(t *testing.T, serve func(c net.Conn)) string {
 	return ln.Addr().String()
 }
 
-func TestTCPRoundTripAndTraceID(t *testing.T) {
-	_, addr, _ := startServer(t, server.Config{})
-	c, err := DialTCP(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.LastTraceID() != "" {
-		t.Fatalf("trace ID before first response: %q", c.LastTraceID())
-	}
-	data := bytes.Repeat([]byte("framed round trip "), 512)
-	z, err := c.Compress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := c.LastTraceID()
-	if first == "" {
-		t.Fatal("no trace ID after compress")
-	}
-	out, err := c.Decompress(z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatal("round trip not byte-exact")
-	}
-	if c.LastTraceID() == "" || c.LastTraceID() == first {
-		t.Fatalf("trace ID did not advance: %q then %q", first, c.LastTraceID())
-	}
-}
-
-// TestTCPPoisonAndRedial drives the client into a poisoned state with a
-// backend that slams the connection mid-response, then verifies every
-// later call fails fast with ErrConnPoisoned until Redial clears it.
-func TestTCPPoisonAndRedial(t *testing.T) {
-	_, good, _ := startServer(t, server.Config{})
-	hung := make(chan struct{})
-	bad := fakeBackend(t, func(c net.Conn) {
-		br := bufio.NewReader(c)
-		if _, err := server.ReadMessage(br, 1<<20); err != nil {
-			t.Errorf("fake backend read: %v", err)
-		}
-		c.Close() // mid-exchange slam: request consumed, no response
-		<-hung
-	})
-	defer close(hung)
-
-	c, err := DialTCP(bad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// The FIRST failing call already carries the retryable class, like
-	// Mux gives its in-flight callers — not just the fail-fast ones.
-	if _, err := c.Compress([]byte("doomed")); !errors.Is(err, ErrConnPoisoned) {
-		t.Fatalf("first transport failure: want ErrConnPoisoned, got %v", err)
-	}
-	// The connection is now poisoned: calls fail fast without touching
-	// the socket.
-	for i := 0; i < 2; i++ {
-		_, err := c.Compress([]byte("after"))
-		if !errors.Is(err, ErrConnPoisoned) {
-			t.Fatalf("call %d after poison: want ErrConnPoisoned, got %v", i, err)
-		}
-	}
-	// Redial to a live server resumes service. (The client keeps its
-	// dial address; point it at the good backend first.)
-	c.addr = good
-	if err := c.Redial(); err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("alive again after redial")
-	z, err := c.Compress(data)
-	if err != nil {
-		t.Fatalf("compress after redial: %v", err)
-	}
-	out, err := c.Decompress(z)
-	if err != nil || !bytes.Equal(out, data) {
-		t.Fatalf("round trip after redial: %v", err)
-	}
-}
-
-// TestTCPDeadlineMidFrame points the client at a backend that sends
-// half a response and stalls: the read deadline must surface as an
-// error and poison the connection (the stream is mid-frame).
-func TestTCPDeadlineMidFrame(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	addr := fakeBackend(t, func(c net.Conn) {
-		br := bufio.NewReader(c)
-		if _, err := server.ReadMessage(br, 1<<20); err != nil {
-			return
-		}
-		resp, err := server.AppendMessage(nil, &server.Message{Op: server.OpResponse, Payload: []byte("stalled mid-frame")})
-		if err != nil {
-			t.Errorf("encode: %v", err)
-			return
-		}
-		c.Write(resp[:len(resp)/2]) //nolint:errcheck
-		<-release                   // never send the rest
-	})
-	c, err := DialTCP(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.SetDeadline(time.Now().Add(150 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = c.Compress([]byte("will stall"))
-	// The deadline fires mid-frame; ReadMessage folds the aborted read
-	// into its ErrCorrupt truncation class (the stream is unframed
-	// either way).
-	if !errors.Is(err, server.ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt-classed truncation, got %v", err)
-	}
-	if !errors.Is(err, ErrConnPoisoned) {
-		t.Fatalf("first mid-frame failure must carry ErrConnPoisoned, got %v", err)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("deadline did not bound the stalled read (took %v)", took)
-	}
-	if _, err := c.Compress([]byte("next")); !errors.Is(err, ErrConnPoisoned) {
-		t.Fatalf("call after mid-frame timeout: want ErrConnPoisoned, got %v", err)
-	}
-}
-
 // TestMuxPipelined runs many concurrent requests over ONE multiplexed
 // connection against the real server and checks each caller gets its
 // own byte-exact result back, however the completions interleave.
 func TestMuxPipelined(t *testing.T) {
 	_, addr, _ := startServer(t, server.Config{MaxInflight: 64, MaxPipelined: 64})
-	m, err := DialMux(addr, 0)
+	m, err := DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,22 +87,23 @@ func TestMuxPipelined(t *testing.T) {
 	defer cancel()
 
 	var wg sync.WaitGroup
-	traceIDs := make([]string, n)
+	traceIDs := make([]string, 2*n) // compress IDs, then decompress IDs
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			z, id, err := m.Do(ctx, server.OpCompress, inputs[i])
+			z, id, err := m.DoDict(ctx, server.OpCompress, inputs[i], "")
 			if err != nil {
 				t.Errorf("compress %d: %v", i, err)
 				return
 			}
 			traceIDs[i] = id
-			out, _, err := m.Do(ctx, server.OpDecompress, z)
+			out, id, err := m.DoDict(ctx, server.OpDecompress, z, "")
 			if err != nil {
 				t.Errorf("decompress %d: %v", i, err)
 				return
 			}
+			traceIDs[n+i] = id
 			if !bytes.Equal(out, inputs[i]) {
 				t.Errorf("request %d: response cross-matched or corrupted", i)
 			}
@@ -239,7 +112,7 @@ func TestMuxPipelined(t *testing.T) {
 	wg.Wait()
 	// Per-request trace IDs must be distinct and stable per caller even
 	// though responses interleaved on the shared socket.
-	seen := make(map[string]int, n)
+	seen := make(map[string]int, 2*n)
 	for i, id := range traceIDs {
 		if id == "" {
 			t.Fatalf("request %d: no trace ID", i)
@@ -279,7 +152,7 @@ func TestMuxReorderedResponses(t *testing.T) {
 			}
 		}
 	})
-	m, err := DialMux(addr, 0)
+	m, err := DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +165,7 @@ func TestMuxReorderedResponses(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := []byte(fmt.Sprintf("echo-%d", i))
-			out, _, err := m.Do(ctx, server.OpCompress, want)
+			out, _, err := m.DoDict(ctx, server.OpCompress, want, "")
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
@@ -318,21 +191,21 @@ func TestMuxUnknownResponseID(t *testing.T) {
 			Payload: []byte("who asked"), ReqID: 0x7777, HasReqID: true}
 		server.WriteMessage(c, resp) //nolint:errcheck
 	})
-	m, err := DialMux(addr, 0)
+	m, err := DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, _, err = m.Do(ctx, server.OpCompress, []byte("hello"))
+	_, _, err = m.DoDict(ctx, server.OpCompress, []byte("hello"), "")
 	if !errors.Is(err, ErrConnPoisoned) {
 		t.Fatalf("want ErrConnPoisoned, got %v", err)
 	}
 	if !errors.Is(err, server.ErrCorrupt) {
 		t.Fatalf("unknown-ID poison should be ErrCorrupt-classed, got %v", err)
 	}
-	if _, _, err := m.Do(ctx, server.OpCompress, []byte("again")); !errors.Is(err, ErrConnPoisoned) {
+	if _, _, err := m.DoDict(ctx, server.OpCompress, []byte("again"), ""); !errors.Is(err, ErrConnPoisoned) {
 		t.Fatalf("later call on poisoned mux: want ErrConnPoisoned, got %v", err)
 	}
 }
@@ -347,14 +220,14 @@ func TestMuxResponseWithoutID(t *testing.T) {
 		}
 		server.WriteMessage(c, &server.Message{Op: server.OpResponse, Payload: []byte("anonymous")}) //nolint:errcheck
 	})
-	m, err := DialMux(addr, 0)
+	m, err := DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, _, err = m.Do(ctx, server.OpCompress, []byte("hello"))
+	_, _, err = m.DoDict(ctx, server.OpCompress, []byte("hello"), "")
 	if !errors.Is(err, ErrConnPoisoned) || !errors.Is(err, server.ErrCorrupt) {
 		t.Fatalf("want poisoned+corrupt, got %v", err)
 	}
@@ -386,7 +259,7 @@ func TestMuxContextExpiryLeavesConnUsable(t *testing.T) {
 		}
 		<-hold // keep the conn open so the close doesn't race the asserts
 	})
-	m, err := DialMux(addr, 0)
+	m, err := DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +270,7 @@ func TestMuxContextExpiryLeavesConnUsable(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := m.Do(short, server.OpCompress, []byte("abandoned"))
+		_, _, err := m.DoDict(short, server.OpCompress, []byte("abandoned"), "")
 		done <- err
 	}()
 	// Second request rides the same conn; its caller waits patiently.
@@ -405,7 +278,7 @@ func TestMuxContextExpiryLeavesConnUsable(t *testing.T) {
 	defer cancel2()
 	res := make(chan error, 1)
 	go func() {
-		out, _, err := m.Do(long, server.OpCompress, []byte("patient"))
+		out, _, err := m.DoDict(long, server.OpCompress, []byte("patient"), "")
 		if err == nil && !bytes.Equal(out, []byte("patient")) {
 			err = errors.New("wrong payload")
 		}
@@ -453,7 +326,7 @@ func TestMuxAbandonedRequestReaped(t *testing.T) {
 		}
 		<-hold
 	})
-	m, err := DialMux(addr, 0)
+	m, err := DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +334,7 @@ func TestMuxAbandonedRequestReaped(t *testing.T) {
 
 	short, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, _, err := m.Do(short, server.OpCompress, []byte("abandoned")); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := m.DoDict(short, server.OpCompress, []byte("abandoned"), ""); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("abandoned request: want DeadlineExceeded, got %v", err)
 	}
 	m.mu.Lock()
@@ -477,7 +350,7 @@ func TestMuxAbandonedRequestReaped(t *testing.T) {
 	close(gate) // the late response arrives now; it must be discarded
 	long, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
-	out, _, err := m.Do(long, server.OpCompress, []byte("after"))
+	out, _, err := m.DoDict(long, server.OpCompress, []byte("after"), "")
 	if err != nil || !bytes.Equal(out, []byte("after")) {
 		t.Fatalf("conn unusable after reaping an abandoned call: %v", err)
 	}
@@ -506,7 +379,7 @@ func TestMuxPoisonFailsAllInflight(t *testing.T) {
 		}
 		c.Close() // all in flight, none answered
 	})
-	m, err := DialMux(addr, 0)
+	m, err := DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +392,7 @@ func TestMuxPoisonFailsAllInflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = m.Do(ctx, server.OpCompress, []byte(fmt.Sprintf("inflight-%d", i)))
+			_, _, errs[i] = m.DoDict(ctx, server.OpCompress, []byte(fmt.Sprintf("inflight-%d", i)), "")
 		}(i)
 	}
 	wg.Wait()
@@ -527,6 +400,10 @@ func TestMuxPoisonFailsAllInflight(t *testing.T) {
 		if !errors.Is(err, ErrConnPoisoned) {
 			t.Fatalf("in-flight request %d: want ErrConnPoisoned, got %v", i, err)
 		}
+	}
+	// The connection stays poisoned: a later call fails fast.
+	if _, _, err := m.DoDict(ctx, server.OpCompress, []byte("after"), ""); !errors.Is(err, ErrConnPoisoned) {
+		t.Fatalf("call after the teardown: want ErrConnPoisoned, got %v", err)
 	}
 }
 

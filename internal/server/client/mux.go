@@ -62,14 +62,10 @@ type muxResult struct {
 	err error
 }
 
-// DialMux connects a multiplexing client to lzssd's framed TCP front.
-// maxResp caps how large a response payload the client will accept
-// (0 selects 1 GiB).
-func DialMux(addr string, maxResp int) (*Mux, error) {
-	return DialMuxTimeout(addr, maxResp, 0)
-}
-
-// DialMuxTimeout is DialMux with a dial deadline (0 means no timeout).
+// DialMuxTimeout connects a multiplexing client to lzssd's framed TCP
+// front. maxResp caps how large a response payload the client will
+// accept (0 selects 1 GiB); timeout bounds the dial (0 means no
+// timeout).
 func DialMuxTimeout(addr string, maxResp int, timeout time.Duration) (*Mux, error) {
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -113,7 +109,7 @@ func (m *Mux) Poisoned() bool {
 // zlib stream. Safe to call concurrently with any other request on
 // this Mux; ctx bounds this request alone.
 func (m *Mux) Compress(ctx context.Context, data []byte) ([]byte, error) {
-	out, _, err := m.Do(ctx, server.OpCompress, data)
+	out, _, err := m.DoDict(ctx, server.OpCompress, data, "")
 	return out, err
 }
 
@@ -125,7 +121,7 @@ func (m *Mux) CompressDict(ctx context.Context, data []byte, dictID string) ([]b
 
 // Decompress round-trips a zlib stream and returns the raw bytes.
 func (m *Mux) Decompress(ctx context.Context, z []byte) ([]byte, error) {
-	out, _, err := m.Do(ctx, server.OpDecompress, z)
+	out, _, err := m.DoDict(ctx, server.OpDecompress, z, "")
 	return out, err
 }
 
@@ -136,18 +132,13 @@ func (m *Mux) DecompressDict(ctx context.Context, z []byte, dictID string) ([]by
 	return out, err
 }
 
-// Do sends one request and waits for its matching response. It returns
-// the response payload and the server-assigned trace ID (also set for
-// in-band protocol errors, so a failed request can still be chased
-// through /debug/requests). When ctx expires first, the request is
-// abandoned — its late response will be discarded — and ctx's error is
-// returned; the connection stays usable.
-func (m *Mux) Do(ctx context.Context, op byte, payload []byte) ([]byte, string, error) {
-	return m.DoDict(ctx, op, payload, "")
-}
-
-// DoDict is Do carrying a dictionary negotiation in the wire dict
-// field ("" sends a plain request).
+// DoDict sends one request, carrying dictID in the wire dict field (""
+// sends a plain request), and waits for its matching response. It
+// returns the response payload and the server-assigned trace ID (also
+// set for in-band protocol errors, so a failed request can still be
+// chased through /debug/requests). When ctx expires first, the request
+// is abandoned — its late response will be discarded — and ctx's error
+// is returned; the connection stays usable.
 func (m *Mux) DoDict(ctx context.Context, op byte, payload []byte, dictID string) ([]byte, string, error) {
 	m.mu.Lock()
 	if m.poison != nil {

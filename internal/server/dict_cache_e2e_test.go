@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,8 @@ func TestServerDictRoundTripBothFronts(t *testing.T) {
 		"json": workload.JSONish(48<<10, 99),
 	}
 	hc := client.NewHTTP(httpAddr)
-	tc, err := client.DialTCP(tcpAddr, 0)
+	// The framed front is driven by plain (non-pipelined) requests.
+	tc, err := net.Dial("tcp", tcpAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,11 @@ func TestServerDictRoundTripBothFronts(t *testing.T) {
 			if front == "http" {
 				z, err = hc.CompressDict(ctx, p, class)
 			} else {
-				z, err = tc.CompressDict(p, class)
+				var resp *server.Message
+				resp, err = plainDo(tc, &server.Message{Op: server.OpCompress, Payload: p, DictID: class})
+				if err == nil {
+					z = resp.Payload
+				}
 			}
 			if err != nil {
 				t.Fatalf("%s %s: compress: %v", front, class, err)
@@ -91,9 +97,13 @@ func TestServerDictRoundTripBothFronts(t *testing.T) {
 			if front == "http" {
 				back, err = hc.DecompressDict(ctx, z, class)
 			} else {
-				back, err = tc.DecompressDict(z, class)
-				if tc.LastDictID() != class {
-					t.Fatalf("tcp %s: response echoed dict %q", class, tc.LastDictID())
+				var resp *server.Message
+				resp, err = plainDo(tc, &server.Message{Op: server.OpDecompress, Payload: z, DictID: class})
+				if err == nil {
+					back = resp.Payload
+					if resp.DictID != class {
+						t.Fatalf("tcp %s: response echoed dict %q", class, resp.DictID)
+					}
 				}
 			}
 			if err != nil {
@@ -150,18 +160,19 @@ func TestServerDictResilient(t *testing.T) {
 	lim := srv.Config().Decode
 	p := workload.Wiki(48<<10, 7) // six 8 KiB segments
 	hc := client.NewHTTP(httpAddr)
-	tc, err := client.DialTCP(tcpAddr, 0)
+	tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	for _, front := range []string{"http", "tcp"} {
 		before := attempts.Load()
 		var z []byte
 		if front == "http" {
-			z, err = hc.CompressDict(context.Background(), p, "wiki")
+			z, err = hc.CompressDict(ctx, p, "wiki")
 		} else {
-			z, err = tc.CompressDict(p, "wiki")
+			z, err = tc.CompressDict(ctx, p, "wiki")
 		}
 		if err != nil {
 			t.Fatalf("%s: dictionary compress under panicking workers: %v", front, err)
@@ -218,21 +229,22 @@ func TestServerUnknownDict(t *testing.T) {
 	if _, err := hc.CompressDict(ctx, p, "nope"); !errors.Is(err, server.ErrUnknownDict) {
 		t.Fatalf("http unknown dict err = %v, want ErrUnknownDict", err)
 	}
-	tc, err := client.DialTCP(tcpAddr, 0)
+	tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	if _, err := tc.CompressDict(p, "nope"); !errors.Is(err, server.ErrUnknownDict) {
+	tctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if _, err := tc.CompressDict(tctx, p, "nope"); !errors.Is(err, server.ErrUnknownDict) {
 		t.Fatalf("tcp unknown dict err = %v, want ErrUnknownDict", err)
 	}
 	// The rejection is in-band: the same connection keeps serving.
-	z, err := tc.CompressDict(p, "wiki")
+	z, err := tc.CompressDict(tctx, p, "wiki")
 	if err != nil {
 		t.Fatalf("connection unusable after unknown-dict rejection: %v", err)
 	}
-	if _, err := tc.DecompressDict(z, "wiki"); err != nil {
+	if _, err := tc.DecompressDict(tctx, z, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	// No slot was consumed by the rejections. A served framed request
@@ -291,13 +303,14 @@ func TestServerCacheServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second trip — other front, same engine cache.
-	tc, err := client.DialTCP(tcpAddr, 0)
+	tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
-	z2, err := tc.Compress(p)
+	tctx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
+	z2, err := tc.Compress(tctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +322,7 @@ func TestServerCacheServing(t *testing.T) {
 		t.Fatalf("after repeat: hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 	// Same payload, different dictionary: its own cache entry.
-	if _, err := tc.CompressDict(p, "wiki"); err != nil {
+	if _, err := tc.CompressDict(tctx, p, "wiki"); err != nil {
 		t.Fatal(err)
 	}
 	st = srv.CacheStats()

@@ -69,11 +69,11 @@ var drainTargets = []struct {
 
 // TestServerDrainCompletesInflight is the drain state machine's
 // acceptance test, on lzssd and on a cluster front: requests are held
-// mid-compression by a gated SegmentHook — two plain and two pipelined
-// on the framed front, two more on lzssd's HTTP front — Shutdown
-// begins, new work is refused on every front, and once the gate opens
-// every held request must complete byte-exact, Shutdown must return
-// nil, and no goroutine may survive.
+// mid-compression by a gated SegmentHook — two plain (no request ID)
+// and two pipelined on the framed front, two more on lzssd's HTTP
+// front — Shutdown begins, new work is refused on every front, and
+// once the gate opens every held request must complete byte-exact,
+// Shutdown must return nil, and no goroutine may survive.
 func TestServerDrainCompletesInflight(t *testing.T) {
 	for _, tg := range drainTargets {
 		t.Run(tg.name, func(t *testing.T) {
@@ -99,7 +99,7 @@ func TestServerDrainCompletesInflight(t *testing.T) {
 				}
 				held <- err
 			}
-			mx, err := client.DialMux(rig.tcpAddr, 0)
+			mx, err := client.DialMuxTimeout(rig.tcpAddr, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,14 +107,18 @@ func TestServerDrainCompletesInflight(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			for i := 0; i < 2; i++ {
-				go hold(fmt.Sprintf("tcp %d", i), func() ([]byte, error) {
-					tc, err := client.DialTCP(rig.tcpAddr, 0)
+				go hold(fmt.Sprintf("plain %d", i), func() ([]byte, error) {
+					c, err := net.Dial("tcp", rig.tcpAddr)
 					if err != nil {
 						return nil, err
 					}
-					defer tc.Close()
-					tc.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-					return tc.Compress(payload)
+					defer c.Close()
+					c.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+					resp, err := plainDo(c, &server.Message{Op: server.OpCompress, Payload: payload})
+					if err != nil {
+						return nil, err
+					}
+					return resp.Payload, nil
 				})
 				go hold(fmt.Sprintf("pipelined %d", i), func() ([]byte, error) { return mx.Compress(ctx, payload) })
 				if rig.httpAddr != "" {
@@ -137,12 +141,13 @@ func TestServerDrainCompletesInflight(t *testing.T) {
 			// New work is refused while draining. The TCP listener is
 			// closed, so either the dial itself fails or the accept loop
 			// closes the fresh connection before it can be served.
-			if tc, err := client.DialTCP(rig.tcpAddr, 0); err == nil {
-				tc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-				if _, err := tc.Compress([]byte("late")); err == nil {
+			if late, err := client.DialMuxTimeout(rig.tcpAddr, 0, 0); err == nil {
+				lateCtx, lateCancel := context.WithTimeout(context.Background(), 5*time.Second)
+				if _, err := late.Compress(lateCtx, []byte("late")); err == nil {
 					t.Fatal("draining front accepted new TCP work")
 				}
-				tc.Close()
+				lateCancel()
+				late.Close()
 			}
 			// The HTTP front either refuses the connection (listener
 			// closed) or answers 503 on a reused one.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"runtime"
 	"sync"
@@ -97,6 +98,21 @@ func roundTripCheck(z, want []byte, lim deflate.DecodeLimits) error {
 		return fmt.Errorf("round trip mismatch: %d bytes in, %d back", len(want), len(got))
 	}
 	return nil
+}
+
+// plainDo sends msg without a request ID, as a client that does not
+// pipeline does, and reads its response: the server serves such a
+// request on the connection's read loop and answers in request order.
+// A non-OK status comes back with its typed error.
+func plainDo(c net.Conn, msg *server.Message) (*server.Message, error) {
+	if err := server.WriteMessage(c, msg); err != nil {
+		return nil, err
+	}
+	resp, err := server.ReadMessage(c, 1<<30)
+	if err != nil {
+		return nil, err
+	}
+	return resp, server.StatusErr(resp.Status, resp.Payload)
 }
 
 // roundTripCheckDict is roundTripCheck for a stream compressed against
@@ -204,22 +220,23 @@ func runHTTPClient(id int, addr string, lim deflate.DecodeLimits, payloads [][]b
 // payload twice — all requests ride the same connection, so the
 // idle→receive→serve cycle repeats under concurrency.
 func runTCPClient(id int, addr string, lim deflate.DecodeLimits, payloads [][]byte) error {
-	tc, err := client.DialTCP(addr, 0)
+	tc, err := client.DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		return fmt.Errorf("tcp client %d: dial: %w", id, err)
 	}
 	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	for it := 0; it < 2; it++ {
 		for pi, p := range payloads {
-			z, err := tc.Compress(p)
+			z, err := tc.Compress(ctx, p)
 			if err != nil {
 				return fmt.Errorf("tcp client %d it %d payload %d: compress: %w", id, it, pi, err)
 			}
 			if err := roundTripCheck(z, p, lim); err != nil {
 				return fmt.Errorf("tcp client %d it %d payload %d: %w", id, it, pi, err)
 			}
-			back, err := tc.Decompress(z)
+			back, err := tc.Decompress(ctx, z)
 			if err != nil {
 				return fmt.Errorf("tcp client %d it %d payload %d: decompress: %w", id, it, pi, err)
 			}

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 
+	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/etherlink"
 	"lzssfpga/internal/obs"
 )
@@ -206,7 +207,7 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = append(dst, protocolMagic...)
 	dst = append(dst, protocolVer, m.Op, m.Status, flags)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
-	dst = binary.BigEndian.AppendUint32(dst, etherlink.CRC32Update(0, dst[start:]))
+	dst = binary.BigEndian.AppendUint32(dst, checksum.CRC32Update(0, dst[start:]))
 	if flags&flagReqID != 0 {
 		dst = binary.BigEndian.AppendUint32(dst, m.ReqID)
 	}
@@ -281,7 +282,7 @@ func ReadMessage(r io.Reader, maxPayload int) (*Message, error) {
 		return nil, corruptf("unknown header flags %#02x", flags)
 	}
 	total := binary.BigEndian.Uint32(hdr[8:12])
-	if want, got := etherlink.CRC32Update(0, hdr[0:12]), binary.BigEndian.Uint32(hdr[12:16]); want != got {
+	if want, got := checksum.CRC32Update(0, hdr[0:12]), binary.BigEndian.Uint32(hdr[12:16]); want != got {
 		return nil, corruptf("header CRC mismatch: computed %08x, carried %08x", want, got)
 	}
 	var reqID uint32

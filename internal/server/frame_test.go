@@ -19,6 +19,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/etherlink"
 	"lzssfpga/internal/obs"
 	"lzssfpga/internal/workload"
@@ -108,7 +109,7 @@ func rejectionCases(t *testing.T) []rejectionCase {
 		{name: "flag set without CRC", data: corrupt(func(b []byte) []byte { b[7] = 1; return b }), cap: 1 << 20},
 		{name: "unknown flag bit", data: corrupt(func(b []byte) []byte {
 			b[7] = 8
-			binary.BigEndian.PutUint32(b[12:16], etherlink.CRC32Update(0, b[0:12]))
+			binary.BigEndian.PutUint32(b[12:16], checksum.CRC32Update(0, b[0:12]))
 			return b
 		}), cap: 1 << 20},
 		// The dict flag with no dict field present: the parser reads the
@@ -116,7 +117,7 @@ func rejectionCases(t *testing.T) []rejectionCase {
 		// reject rather than swallow payload bytes as a name.
 		{name: "dict flag without field", data: corrupt(func(b []byte) []byte {
 			b[7] = 4
-			binary.BigEndian.PutUint32(b[12:16], etherlink.CRC32Update(0, b[0:12]))
+			binary.BigEndian.PutUint32(b[12:16], checksum.CRC32Update(0, b[0:12]))
 			return b
 		}), cap: 1 << 20},
 		{name: "truncated dict ID length", data: func() []byte {
@@ -195,7 +196,7 @@ func hdrFor(total uint32, extra func(h []byte)) []byte {
 	if extra != nil {
 		extra(h)
 	}
-	binary.BigEndian.PutUint32(h[12:16], etherlink.CRC32Update(0, h[0:12]))
+	binary.BigEndian.PutUint32(h[12:16], checksum.CRC32Update(0, h[0:12]))
 	return h
 }
 
@@ -246,8 +247,8 @@ func fcsOf(f etherlink.Frame) uint32 {
 	var hdr [18]byte
 	hdr[12], hdr[13] = 0x88, 0xB5
 	binary.BigEndian.PutUint32(hdr[14:], f.Seq)
-	crc := etherlink.CRC32Update(0, hdr[:])
-	return etherlink.CRC32Update(crc, f.Payload)
+	crc := checksum.CRC32Update(0, hdr[:])
+	return checksum.CRC32Update(crc, f.Payload)
 }
 
 // FuzzFrameParser feeds arbitrary bytes to the wire parser: it must
@@ -514,7 +515,7 @@ func refReadMessage(r io.Reader, maxPayload int) (*Message, error) {
 		return nil, corruptf("unknown header flags %#02x", flags)
 	}
 	total := binary.BigEndian.Uint32(hdr[8:12])
-	if want, got := etherlink.CRC32Update(0, hdr[0:12]), binary.BigEndian.Uint32(hdr[12:16]); want != got {
+	if want, got := checksum.CRC32Update(0, hdr[0:12]), binary.BigEndian.Uint32(hdr[12:16]); want != got {
 		return nil, corruptf("header CRC mismatch: computed %08x, carried %08x", want, got)
 	}
 	m := &Message{Op: op, Status: hdr[6], HasReqID: flags&flagReqID != 0}

@@ -206,13 +206,14 @@ func TestServerBackpressureBusy(t *testing.T) {
 
 	// Wire-protocol overflow: StatusBusy, and the connection survives to
 	// serve the retry once the gate opens.
-	tc, err := client.DialTCP(tcpAddr, 0)
+	tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	if _, err := tc.Compress([]byte("y")); !errors.Is(err, server.ErrBusy) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := tc.Compress(ctx, []byte("y")); !errors.Is(err, server.ErrBusy) {
 		t.Fatalf("wire error = %v, want ErrBusy", err)
 	}
 
@@ -220,7 +221,7 @@ func TestServerBackpressureBusy(t *testing.T) {
 	if err := <-held; err != nil {
 		t.Fatalf("held request after release: %v", err)
 	}
-	z, err := tc.Compress(payload)
+	z, err := tc.Compress(ctx, payload)
 	if err != nil {
 		t.Fatalf("retry on the bounced connection: %v", err)
 	}
@@ -315,13 +316,13 @@ func TestServerTCPProtocolErrors(t *testing.T) {
 	})
 
 	t.Run("oversize request answers StatusTooLarge", func(t *testing.T) {
-		tc, err := client.DialTCP(tcpAddr, 0)
+		c, err := net.Dial("tcp", tcpAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tc.Close()
-		tc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-		_, err = tc.Compress(bytes.Repeat([]byte{3}, 4096))
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		_, err = plainDo(c, &server.Message{Op: server.OpCompress, Payload: bytes.Repeat([]byte{3}, 4096)})
 		if !errors.Is(err, server.ErrTooLarge) {
 			t.Fatalf("got %v, want ErrTooLarge", err)
 		}
@@ -331,7 +332,7 @@ func TestServerTCPProtocolErrors(t *testing.T) {
 		// The rejection must carry the request ID: a multiplexed client
 		// matches responses by it, and an ID-less answer poisons the
 		// whole connection instead of failing the one request.
-		mx, err := client.DialMux(tcpAddr, 0)
+		mx, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,18 +346,19 @@ func TestServerTCPProtocolErrors(t *testing.T) {
 	})
 
 	t.Run("bad decompress input answers StatusCorrupt and keeps the connection", func(t *testing.T) {
-		tc, err := client.DialTCP(tcpAddr, 0)
+		tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tc.Close()
-		tc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-		if _, err := tc.Decompress([]byte("junk")); !errors.Is(err, server.ErrCorrupt) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := tc.Decompress(ctx, []byte("junk")); !errors.Is(err, server.ErrCorrupt) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
 		// Same connection must still serve a well-formed request.
 		p := []byte("still alive")
-		z, err := tc.Compress(p)
+		z, err := tc.Compress(ctx, p)
 		if err != nil {
 			t.Fatalf("compress after in-band error: %v", err)
 		}
@@ -368,16 +370,17 @@ func TestServerTCPProtocolErrors(t *testing.T) {
 	t.Run("connection byte budget closes with StatusConnLimit", func(t *testing.T) {
 		srv2, _, tcpAddr2 := newTestServer(t, server.Config{MaxRequestBytes: 1024, MaxConnBytes: 600})
 		_ = srv2
-		tc, err := client.DialTCP(tcpAddr2, 0)
+		tc, err := client.DialMuxTimeout(tcpAddr2, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tc.Close()
-		tc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-		if _, err := tc.Compress(bytes.Repeat([]byte{4}, 500)); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := tc.Compress(ctx, bytes.Repeat([]byte{4}, 500)); err != nil {
 			t.Fatalf("first request within budget: %v", err)
 		}
-		_, err = tc.Compress(bytes.Repeat([]byte{5}, 500))
+		_, err = tc.Compress(ctx, bytes.Repeat([]byte{5}, 500))
 		if !errors.Is(err, server.ErrTooLarge) {
 			t.Fatalf("budget overflow got %v, want the conn-limit ErrTooLarge", err)
 		}

@@ -26,7 +26,7 @@ func TestServerPipelinedConn(t *testing.T) {
 	lim := srv.Config().Decode
 	payloads := e2ePayloads()
 
-	m, err := client.DialMux(tcpAddr, 0)
+	m, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestServerPipelineBudget(t *testing.T) {
 			}
 		},
 	})
-	m, err := client.DialMux(tcpAddr, 0)
+	m, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -75,25 +76,26 @@ func TestServerE2ESALevelRoundTrip(t *testing.T) {
 	}
 
 	// Framed-TCP front over one connection.
-	tc, err := client.DialTCP(tcpAddr, 0)
+	tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	for _, p := range payloads {
-		z, err := tc.Compress(p)
+		z, id, err := tc.DoDict(ctx, server.OpCompress, p, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertLevel(tc.LastTraceID())
+		assertLevel(id)
 		if err := roundTripCheck(z, p, lim); err != nil {
 			t.Fatal(err)
 		}
-		back, err := tc.Decompress(z)
+		back, id, err := tc.DoDict(ctx, server.OpDecompress, z, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertLevel(tc.LastTraceID())
+		assertLevel(id)
 		if !bytes.Equal(back, p) {
 			t.Fatalf("tcp: round trip mismatch (%d bytes)", len(p))
 		}

@@ -32,8 +32,7 @@ type Config struct {
 	// affect compression, nor the cache fingerprint. Empty selects
 	// Params.Tier()'s matcher-family label.
 	LevelName string
-	// Segment is the parallel cut size (0 selects 256 KiB,
-	// deflate.SegmentAdaptive enables the engine's online sizer);
+	// Segment is the parallel cut size (0 or less selects 256 KiB);
 	// Workers caps each request's in-flight segments on the shared
 	// engine (0 means GOMAXPROCS, or the engine's full width when
 	// Resilient).
@@ -202,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 		SegmentHook:       cfg.SegmentHook,
 	}
 	if cfg.CacheBytes > 0 && !cfg.Params.HasCustomHash() {
-		s.cache = cache.New(cache.Config{MaxBytes: cfg.CacheBytes, Verify: cfg.CacheVerify})
+		s.cache = cache.New(cache.Config{MaxBytes: cfg.CacheBytes})
 	}
 	return s, nil
 }

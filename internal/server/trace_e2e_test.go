@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -84,7 +85,7 @@ func TestServerE2ETracing(t *testing.T) {
 
 	// Phase 1: concurrent clients on both fronts, collecting the trace
 	// ID of every response (HTTP: X-Lzss-Trace-Id header; TCP: the
-	// header trace field via LastTraceID).
+	// header trace field, which DoDict returns).
 	const clients = 12
 	var wg sync.WaitGroup
 	idc := make(chan string, clients*len(payloads)*2)
@@ -140,19 +141,19 @@ func TestServerE2ETracing(t *testing.T) {
 	// One 48 KiB compress per front, with and without a dictionary: six
 	// 8 KiB segments each, all of them accounted in the trace.
 	dictPayload := workload.Wiki(48<<10, 4)
-	tc, err := client.DialTCP(tcpAddr, 0)
+	tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	for _, dictID := range []string{"", "wiki"} {
 		for _, front := range []string{"http", "tcp"} {
 			var id string
 			if front == "http" {
 				_, id, err = tracedPost(httpAddr, "/compress", dictID, dictPayload)
 			} else {
-				_, err = tc.CompressDict(dictPayload, dictID)
-				id = tc.LastTraceID()
+				_, id, err = tc.DoDict(ctx, server.OpCompress, dictPayload, dictID)
 			}
 			if err != nil {
 				t.Fatalf("%s dict=%q: %v", front, dictID, err)
@@ -308,29 +309,30 @@ func tracedPost(addr, path, dictID string, body []byte) (out []byte, traceID str
 // traceTCPClient drives compress + decompress over one framed
 // connection, pushing each response's wire trace ID into ids.
 func traceTCPClient(addr string, payloads [][]byte, ids chan<- string) error {
-	tc, err := client.DialTCP(addr, 0)
+	tc, err := client.DialMuxTimeout(addr, 0, 0)
 	if err != nil {
 		return fmt.Errorf("tcp trace client: dial: %w", err)
 	}
 	defer tc.Close()
-	tc.SetDeadline(time.Now().Add(60 * time.Second)) //nolint:errcheck
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	for _, p := range payloads {
-		z, err := tc.Compress(p)
+		z, id, err := tc.DoDict(ctx, server.OpCompress, p, "")
 		if err != nil {
 			return fmt.Errorf("tcp trace client: compress: %w", err)
 		}
-		if tc.LastTraceID() == "" {
+		if id == "" {
 			return fmt.Errorf("tcp trace client: compress response carries no trace ID")
 		}
-		ids <- tc.LastTraceID()
-		back, err := tc.Decompress(z)
+		ids <- id
+		back, id, err := tc.DoDict(ctx, server.OpDecompress, z, "")
 		if err != nil {
 			return fmt.Errorf("tcp trace client: decompress: %w", err)
 		}
-		if tc.LastTraceID() == "" {
+		if id == "" {
 			return fmt.Errorf("tcp trace client: decompress response carries no trace ID")
 		}
-		ids <- tc.LastTraceID()
+		ids <- id
 		if !bytes.Equal(back, p) {
 			return fmt.Errorf("tcp trace client: round trip mismatch (%d bytes)", len(p))
 		}

@@ -146,18 +146,10 @@ func NewReader(r io.Reader) (io.Reader, error) {
 	return deflate.NewReader(r)
 }
 
-// SegmentAdaptive, passed as the segment argument of CompressParallel
-// or as ParallelOpts.Segment, lets the engine's online sizer choose the
-// cut from observed per-segment service time. Adaptive cuts trade
-// byte-determinism across runs for steadier worker utilization; the
-// default and explicit segment sizes stay deterministic.
-const SegmentAdaptive = deflate.SegmentAdaptive
-
 // CompressParallel compresses data on the shared persistent engine,
 // pigz-style: independent segments, deterministic output, standard
-// zlib format. segment 0 selects 256 KiB (SegmentAdaptive enables the
-// online sizer); workers caps this call's in-flight segments, 0 means
-// GOMAXPROCS. It is CompressParallelOpts with only those two options.
+// zlib format. segment 0 (or less) selects 256 KiB; workers caps this
+// call's in-flight segments, 0 means GOMAXPROCS. It is CompressParallelOpts with only those two options.
 func CompressParallel(data []byte, p Params, segment, workers int) ([]byte, error) {
 	z, _, err := deflate.ParallelCompress(context.Background(), data, p,
 		deflate.ParallelOpts{Segment: segment, Workers: workers})
