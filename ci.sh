@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repository gate: formatting, static checks, the benchmark module's
 # vet and short tests, the full test suite under
-# the race detector (including the observability stress test, the
+# the race detector (including the observability stress test with the
+# request trace's Chrome renderer and stage clamps, the
 # fault-injection matrix, the engine soak, the pooled segment worker's
 # release of its input and the engine goroutine-leak
 # check, the server e2e/drain/soak suite and the frame codec's pin,
@@ -80,17 +81,20 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== observability race stress =="
-race_gate StressConcurrentScrape ./internal/obs
+# The registry under concurrent update and scrape, plus the one span
+# record's two readers: the Chrome renderer and Finalize's stage clamps.
+race_gate 'StressConcurrentScrape|TestWriteChromeTrace|TestFinalizeClampsStages' ./internal/obs
 
 echo "== fault matrix (race) =="
 race_gate FaultMatrix ./internal/testbench
 
 echo "== engine soak + stall reorder + parallel option matrix (race) =="
 # The option matrix crosses {plain, carry, preset dictionary} x
-# {returned, sink} x {fast, resilient} through the one parallel driver,
-# plus a resilient dictionary run under panics and sink-path
-# cancellation, and a pooled segment worker must not keep the caller's
-# input alive past one collection (plain, carry and resilient runs).
+# {returned, sink} x {fast, resilient} through the one parallel driver
+# (its traced cells hold the trace to one span per segment), plus a
+# resilient dictionary run under panics and sink-path cancellation, and
+# a pooled segment worker must not keep the caller's input alive past
+# one collection (plain, carry and resilient runs).
 race_gate 'TestEngineSoak|TestReorderUnderWorkerStalls|TestParallelOptionMatrix|TestParallelDictResilientRecoversPanics|TestParallelSinkContextCancel|TestPooledSegWorkerDoesNotPinInput' ./internal/deflate
 
 echo "== engine soak at GOMAXPROCS=4 (race) =="

@@ -14,8 +14,9 @@
 // (Prometheus text at /metrics, expvar JSON at /debug/vars, pprof at
 // /debug/pprof/) for the duration of the run; -metricshold keeps the
 // process alive after the run so a scraper can collect the final
-// numbers. -trace PATH (with -c -p N) writes a Chrome trace-event JSON
-// of the parallel pipeline stages, loadable in chrome://tracing.
+// numbers. -trace PATH (with -c -p N) records one span per segment of
+// the parallel run and writes the run as Chrome trace-event JSON,
+// loadable in chrome://tracing.
 package main
 
 import (
@@ -54,9 +55,9 @@ var (
 	timeoutArg = flag.Duration("timeout", 0, "with -c -p N: overall deadline for the (resilient) parallel compression")
 )
 
-// tracer is non-nil when -trace is set; doCompress hands it to the
-// parallel pipeline.
-var tracer *lzssfpga.Tracer
+// tracer is the -trace run's record: compressParallel starts and
+// finalizes it, writeTrace renders it.
+var tracer *lzssfpga.RequestTrace
 
 func main() {
 	flag.Parse()
@@ -102,7 +103,6 @@ func realMain() int {
 			fail("", fmt.Errorf("-trace records the parallel pipeline: it requires -c -p N (and the zlib container)"))
 			return code
 		}
-		tracer = lzssfpga.NewTracer()
 	}
 	if err := run(); err != nil {
 		fail("", err)
@@ -141,7 +141,7 @@ func writeTrace(path string) error {
 	if err != nil {
 		return err
 	}
-	err = tracer.WriteJSON(f)
+	err = tracer.WriteChromeTrace(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -270,7 +270,10 @@ func compressParallel(data []byte, p lzssfpga.Params, resilient bool) ([]byte, e
 		ctx, cancel = context.WithTimeout(ctx, *timeoutArg)
 		defer cancel()
 	}
-	opts := lzssfpga.ParallelOpts{Workers: *parallel, Carry: *pdict, Tracer: tracer, Resilient: resilient}
+	if *tracePath != "" {
+		ctx, tracer = lzssfpga.TraceContext(ctx)
+	}
+	opts := lzssfpga.ParallelOpts{Workers: *parallel, Carry: *pdict, Resilient: resilient}
 	var inj *lzssfpga.FaultInjector
 	if *faultsArg != "" {
 		spec, err := lzssfpga.ParseFaultSpec(*faultsArg)
@@ -281,7 +284,9 @@ func compressParallel(data []byte, p lzssfpga.Params, resilient bool) ([]byte, e
 		opts.SegmentHook = inj.SegmentHook
 		opts.SegmentTimeout = spec.StallTimeout()
 	}
+	start := time.Now()
 	z, rep, err := lzssfpga.CompressParallelOpts(ctx, data, p, opts)
+	tracer.Finalize(time.Since(start), int64(len(z)))
 	if err != nil || !resilient {
 		return z, err
 	}

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/workload"
 )
 
@@ -98,7 +99,7 @@ func (r *Registry) Add(name string, data []byte) error {
 	if _, ok := r.byName[name]; ok {
 		return fmt.Errorf("dict: dictionary %q already registered", name)
 	}
-	r.byName[name] = &entry{bytes: append([]byte(nil), data...), adler: adler32(data)}
+	r.byName[name] = &entry{bytes: append([]byte(nil), data...), adler: checksum.Adler32Sum(data)}
 	registered.Add(1)
 	return nil
 }
@@ -209,25 +210,4 @@ func NewBuiltinRegistry(classes ...string) (*Registry, error) {
 		}
 	}
 	return r, nil
-}
-
-// adler32 is RFC 1950's checksum (duplicated from internal/deflate to
-// keep the dependency arrow pointing serving→dict, not dict→deflate).
-func adler32(data []byte) uint32 {
-	const mod = 65521
-	a, b := uint32(1), uint32(0)
-	for i := 0; i < len(data); {
-		n := len(data) - i
-		if n > 5552 { // max bytes before a/b can overflow uint32
-			n = 5552
-		}
-		for _, c := range data[i : i+n] {
-			a += uint32(c)
-			b += a
-		}
-		a %= mod
-		b %= mod
-		i += n
-	}
-	return b<<16 | a
 }

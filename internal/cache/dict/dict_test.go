@@ -2,8 +2,12 @@ package dict
 
 import (
 	"bytes"
+	"compress/zlib"
+	"encoding/binary"
 	"errors"
 	"testing"
+
+	"lzssfpga/internal/workload"
 )
 
 func TestValidName(t *testing.T) {
@@ -116,14 +120,32 @@ func TestNewBuiltinRegistry(t *testing.T) {
 	}
 }
 
-// The local adler32 must agree with the deflate layer's checksum — the
-// DICTID in served streams is computed there.
+// A registered dictionary's Adler is the DICTID compress/zlib writes
+// for the same bytes (RFC 1950 §2.2), so clients can match streams to
+// dictionaries offline.
 func TestAdlerMatchesRFC(t *testing.T) {
-	// Known vector: adler32("Wikipedia") = 0x11E60398.
-	if got := adler32([]byte("Wikipedia")); got != 0x11E60398 {
-		t.Fatalf("adler32 = %08x, want 11E60398", got)
+	for _, d := range [][]byte{[]byte("Wikipedia"), workload.Wiki(8<<10, 3)} {
+		r := NewRegistry()
+		if err := r.Add("d", d); err != nil {
+			t.Fatal(err)
+		}
+		var z bytes.Buffer
+		zw, err := zlib.NewWriterLevelDict(&z, zlib.DefaultCompression, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dictID := binary.BigEndian.Uint32(z.Bytes()[2:6])
+		if got := r.List()[0].Adler; got != dictID {
+			t.Fatalf("%d-byte dictionary: Adler %08x, compress/zlib DICTID %08x", len(d), got, dictID)
+		}
 	}
-	if got := adler32(nil); got != 1 {
-		t.Fatalf("adler32(nil) = %d, want 1", got)
+	// Known vector: adler32("Wikipedia") = 0x11E60398.
+	r := NewRegistry()
+	r.Add("wiki", []byte("Wikipedia")) //nolint:errcheck
+	if got := r.List()[0].Adler; got != 0x11E60398 {
+		t.Fatalf("Adler = %08x, want 11E60398", got)
 	}
 }

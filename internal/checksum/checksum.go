@@ -8,26 +8,11 @@
 package checksum
 
 import (
-	"hash"
 	"hash/adler32"
 	"hash/crc32"
 )
 
-// Adler32 is the RFC 1950 checksum (initial value 1).
-type Adler32 struct {
-	h hash.Hash32
-}
-
-// NewAdler32 returns the checksum in its initial state.
-func NewAdler32() *Adler32 { return &Adler32{h: adler32.New()} }
-
-// Write folds p into the checksum. It never fails.
-func (h *Adler32) Write(p []byte) (int, error) { return h.h.Write(p) }
-
-// Sum32 returns the current checksum value.
-func (h *Adler32) Sum32() uint32 { return h.h.Sum32() }
-
-// Adler32Sum is a one-shot convenience.
+// Adler32Sum returns the RFC 1950 checksum of data (initial value 1).
 func Adler32Sum(data []byte) uint32 { return adler32.Checksum(data) }
 
 // CRC32 returns the IEEE CRC-32 of data.

@@ -19,29 +19,6 @@ func TestAdlerMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestAdlerIncrementalAndCount(t *testing.T) {
-	data := []byte("incremental adler over several writes")
-	h := NewAdler32()
-	total := 0
-	for i := 0; i < len(data); i += 7 {
-		end := i + 7
-		if end > len(data) {
-			end = len(data)
-		}
-		n, err := h.Write(data[i:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-	}
-	if total != len(data) {
-		t.Fatalf("Write reported %d bytes, want %d", total, len(data))
-	}
-	if h.Sum32() != adler32.Checksum(data) {
-		t.Fatal("incremental checksum differs")
-	}
-}
-
 // specAdler32Update is the oracle: RFC 1950's sample loop, both sums
 // reduced after every byte. s is a running checksum, 1 to start.
 func specAdler32Update(s uint32, data []byte) uint32 {
@@ -54,12 +31,13 @@ func specAdler32Update(s uint32, data []byte) uint32 {
 	return b<<16 | a
 }
 
-// TestAdlerMatchesSpec checks Adler32Sum and the streaming Adler32,
-// whole and split across writes, against the byte-wise oracle at every
-// short length, around the 5,552-byte block within which the sums
-// cannot overflow, and on a megabyte of 0xFF, the input that drives the
-// sums fastest toward overflow, each at three alignments. It anchors the
-// oracle to the standard example value.
+// TestAdlerMatchesSpec checks Adler32Sum and the streaming hasher the
+// zlib Writer and Reader hold (hash/adler32's), whole and split across
+// writes, against the byte-wise oracle at every short length, around
+// the 5,552-byte block within which the sums cannot overflow, and on a
+// megabyte of 0xFF, the input that drives the sums fastest toward
+// overflow, each at three alignments. It anchors the oracle to the
+// standard example value.
 func TestAdlerMatchesSpec(t *testing.T) {
 	if got := specAdler32Update(1, []byte("Wikipedia")); got != 0x11E60398 {
 		t.Fatalf("oracle check value %08x, want 11e60398", got)
@@ -90,12 +68,12 @@ func TestAdlerMatchesSpec(t *testing.T) {
 			if got := Adler32Sum(p); got != want {
 				t.Fatalf("n=%d off=%d: adler %08x, oracle %08x", in.n, off, got, want)
 			}
-			h := NewAdler32()
+			h := adler32.New()
 			h.Write(p)
 			if got := h.Sum32(); got != want {
 				t.Fatalf("n=%d off=%d: streaming adler %08x, oracle %08x", in.n, off, got, want)
 			}
-			h = NewAdler32()
+			h = adler32.New()
 			cut1, cut2 := in.n/3, 2*in.n/3+1
 			for _, q := range [][]byte{p[:cut1], p[cut1:min(cut2, in.n)], p[min(cut2, in.n):]} {
 				h.Write(q)

@@ -109,9 +109,10 @@ func (f *Front) serve(r server.Reply, msg *server.Message) {
 
 // route answers one request, consulting the routing-tier cache before
 // the fleet. Only compress results are cached (a decompress is cheap
-// relative to the routed hop, and its payloads rarely repeat); a hit
-// never leaves the front, and coalesced concurrent misses share the
-// computing request's backend trace ID.
+// relative to the routed hop, and its payloads rarely repeat). Only a
+// routed request carries a backend trace ID: a hit never leaves the
+// front, and a miss coalesced onto another's computation never runs
+// its own closure, so both answer with an empty one.
 func (f *Front) route(ctx context.Context, msg *server.Message) (out []byte, traceID string, err error) {
 	if f.cache == nil || msg.Op != server.OpCompress {
 		return f.c.DoDict(ctx, msg.Op, msg.Payload, msg.DictID)

@@ -143,13 +143,14 @@ func TestFrontCacheStampede(t *testing.T) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	results := make([][]byte, waiters)
+	traceIDs := make([]string, waiters)
 	errs := make([]error, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i], errs[i] = m.Compress(ctx, p)
+			results[i], traceIDs[i], errs[i] = m.DoDict(ctx, server.OpCompress, p, "")
 		}(i)
 	}
 	close(start)
@@ -168,5 +169,16 @@ func TestFrontCacheStampede(t *testing.T) {
 	}
 	if st.Hits+st.Coalesced != waiters-1 {
 		t.Fatalf("hits=%d coalesced=%d, want sum %d", st.Hits, st.Coalesced, waiters-1)
+	}
+	// Only the one routed request carries a backend trace ID; hits and
+	// coalesced waiters answer with an empty one.
+	traced := 0
+	for _, id := range traceIDs {
+		if id != "" {
+			traced++
+		}
+	}
+	if traced != 1 {
+		t.Fatalf("%d responses carry a trace ID, want exactly the routed one", traced)
 	}
 }

@@ -91,13 +91,15 @@ const (
 
 // parallelRun is the state one ParallelCompress call shares with its
 // segment jobs: the (dictionary-prefixed) input, the resolved options,
-// the request trace carried in on the driver's context (nil when the
-// caller isn't tracing) and the resilient path's fault ledger.
+// the segment count, the request trace carried in on the driver's
+// context (nil when the caller isn't tracing) and the resilient path's
+// fault ledger.
 type parallelRun struct {
 	ctx                       context.Context
 	data                      []byte
 	p                         lzss.Params
 	o                         ParallelOpts
+	nSeg                      int
 	rt                        *obs.RequestTrace
 	retries, panics, degraded atomic.Int64
 }
@@ -113,8 +115,10 @@ type pjob struct {
 	final  bool
 	// submitAt is stamped just before Submit when a registry is enabled
 	// or the request is traced; Run turns it into the
-	// deflate_queue_wait_us histogram and the trace's queue_wait stage.
-	submitAt time.Time
+	// deflate_queue_wait_us histogram and the span's Queued instant.
+	// matched is the segment worker's matched instant, set by the job
+	// body for the span.
+	submitAt, matched time.Time
 }
 
 var jobSlicePool = sync.Pool{New: func() any { return new([]pjob) }}
@@ -143,19 +147,19 @@ func putJobs(js *[]pjob) {
 func (j *pjob) Run(wid int) {
 	r := j.run
 	k := deflateObs.Load()
-	start := time.Now()
-	if !j.submitAt.IsZero() {
-		if k != nil {
-			k.queueWaitUs.Observe(start.Sub(j.submitAt).Microseconds())
-		}
-		r.rt.AddQueueWait(start.Sub(j.submitAt))
+	var start time.Time
+	if k != nil || r.rt != nil {
+		start = time.Now()
+	}
+	if k != nil && !j.submitAt.IsZero() {
+		k.queueWaitUs.Observe(start.Sub(j.submitAt).Microseconds())
 	}
 	var body *engine.Buf
 	var err error
 	if r.o.Resilient {
-		body, err = j.runResilient(wid)
+		body, err = j.runResilient()
 	} else {
-		body, err = j.runFast(wid)
+		body, err = j.runFast()
 	}
 	if k != nil {
 		k.segments.Inc()
@@ -165,16 +169,22 @@ func (j *pjob) Run(wid int) {
 		}
 		k.workerBusyNs.Add(time.Since(start).Nanoseconds())
 	}
-	// The compress stage of the request trace is the segment's whole
-	// residence on the worker — including resilient retries and injected
-	// stalls, which is exactly what a latency investigation needs to see.
-	r.rt.AddCompress(time.Since(start))
+	if r.rt != nil {
+		// The span is the segment's whole residence on the worker —
+		// including resilient retries and injected stalls, which is
+		// exactly what a latency investigation needs to see.
+		if j.matched.IsZero() { // no attempt finished matching
+			j.matched = start
+		}
+		r.rt.AddSpan(obs.Span{Seg: j.idx, Worker: wid, Queued: j.submitAt, Started: start,
+			Matched: j.matched, Done: time.Now()}, r.nSeg)
+	}
 	j.req.Complete(j.idx, body, err)
 }
 
 // runFast compresses the segment once, with no recovery around it; a
 // cancelled run skips the work.
-func (j *pjob) runFast(wid int) (*engine.Buf, error) {
+func (j *pjob) runFast() (*engine.Buf, error) {
 	r := j.run
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
@@ -184,19 +194,20 @@ func (j *pjob) runFast(wid int) (*engine.Buf, error) {
 		return nil, err
 	}
 	defer putSegWorker(sw)
-	sw.tr, sw.tid, sw.seg = r.o.Tracer, wid+1, j.idx
-	return sw.compressSegment(r.data[j.dictLo:j.hi], j.lo-j.dictLo, j.final, segHint(j.hi-j.lo))
+	body, err := sw.compressSegment(r.data[j.dictLo:j.hi], j.lo-j.dictLo, j.final, segHint(j.hi-j.lo))
+	j.matched = sw.matched
+	return body, err
 }
 
 // runResilient is the hardened body: guarded attempt loop, then
 // degradation to stored blocks when the budget is gone. It fails only
 // when the run's context is cancelled.
-func (j *pjob) runResilient(wid int) (*engine.Buf, error) {
+func (j *pjob) runResilient() (*engine.Buf, error) {
 	r := j.run
 	var body *engine.Buf
 	if sw, swErr := getSegWorker(r.p); swErr == nil {
-		sw.tr, sw.tid = r.o.Tracer, wid+1
 		body = r.compressSegmentResilient(sw, r.data[j.dictLo:j.hi], j.lo-j.dictLo, j.idx, j.final)
+		j.matched = sw.matched
 		putSegWorker(sw)
 	}
 	if body == nil {

@@ -24,14 +24,9 @@ type segWorker struct {
 	m    *lzss.Matcher
 	cmds []token.Command
 	enc  blockWriter
-	// Observability context, set by the job body before each segment
-	// (tr is cleared before pooling): the run's tracer (nil when
-	// tracing is off), the trace row (the executing engine worker's id
-	// plus one; row 0 is the coordinator), and the segment index being
-	// compressed.
-	tr  *obs.Tracer
-	tid int
-	seg int
+	// matched is when compressSegment last finished matching; the job
+	// reads it for the segment's trace span.
+	matched time.Time
 }
 
 var segWorkerPool = sync.Pool{New: func() any { return new(segWorker) }}
@@ -64,7 +59,7 @@ func getSegWorker(p lzss.Params) (*segWorker, error) {
 // commands hold no input bytes.
 func putSegWorker(w *segWorker) {
 	w.cmds = w.cmds[:0]
-	w.tr = nil
+	w.matched = time.Time{}
 	segWorkerPool.Put(w)
 }
 
@@ -99,11 +94,6 @@ type ParallelOpts struct {
 	// nil. On any error the bytes written so far are an incomplete
 	// stream the consumer must discard.
 	Sink io.Writer
-	// Tracer observes the pipeline stages: one "split" span for
-	// segmentation planning, per-segment "match" and "encode" spans on
-	// the owning worker's trace row, and one "assemble" span for stream
-	// assembly. May be nil.
-	Tracer *obs.Tracer
 	// Resilient hardens the run for a hostile runtime: every segment
 	// attempt runs under recover() (a panicking worker is scrubbed and
 	// the segment retried), each attempt can carry a deadline, each
@@ -140,8 +130,8 @@ type ParallelOpts struct {
 // ctx cancellation stops the run: segments not yet started are skipped,
 // the ones in flight are drained and discarded, and the call returns the
 // context's error. A request trace carried on ctx (see
-// obs.ContextWithRequest) is credited with the run's segment count and
-// per-segment queue and compress time. The report counts segments on
+// obs.ContextWithRequest) records one span per segment
+// (obs.RequestTrace.AddSpan). The report counts segments on
 // every path and the recovery work on the resilient one; only
 // cancellation, a Sink write error or invalid parameters make the
 // resilient path fail.
@@ -191,10 +181,9 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 		o.MaxSegmentRetries = 2
 	}
 	k := deflateObs.Load()
-	splitStart := time.Now()
 	plan := planSegments(len(data)-base, o.Segment)
 	rep.Segments = plan.nSeg
-	run := &parallelRun{ctx: ctx, data: data, p: p, o: o, rt: obs.RequestFromContext(ctx)}
+	run := &parallelRun{ctx: ctx, data: data, p: p, o: o, nSeg: plan.nSeg, rt: obs.RequestFromContext(ctx)}
 
 	// write lands stream bytes in the returned buffer (preallocated from
 	// the running ratio estimate) or the sink. After the first failure it
@@ -222,10 +211,6 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 	eng := defaultEngine()
 	jobs := getJobs(plan.nSeg)
 	defer putJobs(jobs)
-	if o.Tracer != nil {
-		o.Tracer.Span("split", 0, splitStart, time.Since(splitStart),
-			fmt.Sprintf(`{"segments":%d,"workers":%d,"resilient":%t}`, plan.nSeg, eng.Workers(), o.Resilient))
-	}
 	err = eng.SubmitAndStream(ctx, plan.nSeg, workers,
 		func(i int, r *engine.Request) engine.Job {
 			j := &(*jobs)[i]
@@ -259,14 +244,10 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 	}
 	// Finalize: Adler-32 trailer onto the streamed body bytes (the
 	// preset-history prefix is matched against but never summed).
-	assembleStart := time.Now()
 	sum := checksum.Adler32Sum(data[base:])
 	write([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
 	if firstErr != nil {
 		return nil, rep, fmt.Errorf("deflate: parallel compress: %w", firstErr)
-	}
-	if o.Tracer != nil {
-		o.Tracer.Span("assemble", 0, assembleStart, time.Since(assembleStart), fmt.Sprintf(`{"bytes":%d}`, written))
 	}
 	ratio := float64(len(data)-base) / float64(written)
 	if k != nil {
@@ -288,17 +269,12 @@ func ParallelCompress(ctx context.Context, data []byte, p lzss.Params, o Paralle
 // caller recycles it (engine.PutBuf) after assembly. All other scratch
 // state lives in the worker.
 func (w *segWorker) compressSegment(buf []byte, origin int, final bool, hint int) (*engine.Buf, error) {
-	matchStart := time.Now()
 	if origin > 0 {
 		w.cmds = lzss.CompressTail(w.cmds[:0], w.m, buf, origin)
 	} else {
 		w.cmds = lzss.CompressReuse(w.cmds[:0], w.m, buf)
 	}
-	if w.tr != nil {
-		w.tr.Span("match", w.tid, matchStart, time.Since(matchStart),
-			fmt.Sprintf(`{"segment":%d,"bytes":%d,"commands":%d}`, w.seg, len(buf)-origin, len(w.cmds)))
-	}
-	encodeStart := time.Now()
+	w.matched = time.Now()
 	// Encode straight into an arena buffer: the filled buffer IS the
 	// returned body. On an error path the buffer goes straight back to
 	// the arena.
@@ -313,9 +289,5 @@ func (w *segWorker) compressSegment(buf []byte, origin int, final bool, hint int
 	w.enc.writeStored(nil, final)
 	ab.B = w.enc.bw.Drain()
 	w.enc.bw.Reset(nil)
-	if w.tr != nil {
-		w.tr.Span("encode", w.tid, encodeStart, time.Since(encodeStart),
-			fmt.Sprintf(`{"segment":%d,"bytes":%d}`, w.seg, len(ab.B)))
-	}
 	return ab, nil
 }

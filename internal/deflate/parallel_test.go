@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/zlib"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -238,6 +239,7 @@ func TestPooledSegWorkerDoesNotPinInput(t *testing.T) {
 // (returned buffer, Sink) and the two job bodies (fast, Resilient with
 // no faults): every cell must be byte-identical to the buffered fast
 // call with the same history, and decode with the matching inflater.
+// Half the cells run traced and must record one span per segment.
 func TestParallelOptionMatrix(t *testing.T) {
 	data := workload.Wiki(300<<10, 81)
 	d := workload.Wiki(16<<10, 82)
@@ -264,10 +266,14 @@ func TestParallelOptionMatrix(t *testing.T) {
 					if sink {
 						o.Sink = &buf
 					}
+					ctx := context.Background()
+					var rt *obs.RequestTrace
 					if sink != resilient {
-						o.Tracer = obs.NewTracer()
+						rt = obs.NewRequestTrace("test", "compress")
+						ctx = obs.ContextWithRequest(ctx, rt)
 					}
-					z, rep, err := ParallelCompress(context.Background(), data, p, o)
+					start := time.Now()
+					z, rep, err := ParallelCompress(ctx, data, p, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -283,8 +289,9 @@ func TestParallelOptionMatrix(t *testing.T) {
 					if rep != (ResilienceReport{Segments: 5}) {
 						t.Fatalf("report = %+v, want 5 segments and no recovery", rep)
 					}
-					if o.Tracer != nil && o.Tracer.Len() < 2+2*rep.Segments {
-						t.Fatalf("tracer recorded %d spans for %d segments", o.Tracer.Len(), rep.Segments)
+					if rt != nil {
+						rt.Finalize(time.Since(start), int64(len(z)))
+						checkSpans(t, rt, rep.Segments)
 					}
 					var back []byte
 					if o.Dict != nil {
@@ -297,6 +304,66 @@ func TestParallelOptionMatrix(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// checkSpans requires a finalized trace of one parallel run to hold one
+// span per segment: each segment index once, on a worker row inside the
+// engine's width, with start ≤ first queueing ≤ started < matched ≤
+// done ≤ last done, as the rendered document shows them (whole
+// microseconds from the trace's start; matching a segment of tens of
+// KiB takes well over a microsecond).
+func checkSpans(t *testing.T, rt *obs.RequestTrace, segments int) {
+	t.Helper()
+	if rt.Segments != int64(segments) {
+		t.Fatalf("trace holds %d spans for %d segments", rt.Segments, segments)
+	}
+	var buf bytes.Buffer
+	if err := rt.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Tid  int    `json:"tid"`
+			Ts   int64  `json:"ts"`
+			Dur  int64  `json:"dur"`
+			Args struct {
+				Segment int `json:"segment"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	// Rendered order: split, one match and encode pair per span, assemble.
+	ev := doc.TraceEvents
+	if len(ev) != 2+2*segments || ev[0].Name != "split" || ev[len(ev)-1].Name != "assemble" {
+		t.Fatalf("trace renders %d events for %d segments:\n%s", len(ev), segments, buf.String())
+	}
+	firstQueued, lastDone := ev[0].Dur, ev[len(ev)-1].Ts
+	if firstQueued < 0 || lastDone < firstQueued {
+		t.Fatalf("first queueing at %d µs, last done at %d µs", firstQueued, lastDone)
+	}
+	width := defaultEngine().Workers()
+	seen := make([]bool, segments)
+	for i := 1; i+1 < len(ev); i += 2 {
+		m, e := ev[i], ev[i+1]
+		seg := m.Args.Segment
+		if m.Name != "match" || e.Name != "encode" || e.Tid != m.Tid || e.Args.Segment != seg {
+			t.Fatalf("events %d and %d are not one span's match and encode: %+v %+v", i, i+1, m, e)
+		}
+		if seg < 0 || seg >= segments || seen[seg] {
+			t.Fatalf("segment %d is out of range or recorded twice", seg)
+		}
+		seen[seg] = true
+		if m.Tid < 1 || m.Tid > width {
+			t.Fatalf("segment %d on row %d, want a worker row in [1, %d]", seg, m.Tid, width)
+		}
+		if m.Ts < firstQueued || m.Dur <= 0 || e.Ts < m.Ts || e.Dur < 0 || e.Ts+e.Dur > lastDone {
+			t.Fatalf("segment %d: match %d+%d µs, encode %d+%d µs out of order (first queued %d, last done %d)",
+				seg, m.Ts, m.Dur, e.Ts, e.Dur, firstQueued, lastDone)
 		}
 	}
 }

@@ -39,7 +39,6 @@ func (r *parallelRun) compressSegmentResilient(sw *segWorker, buf []byte, origin
 		if r.o.SegmentTimeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(r.ctx, r.o.SegmentTimeout)
 		}
-		sw.seg = seg
 		body, err := r.attemptSegment(attemptCtx, sw, buf, origin, seg, attempt, final)
 		cancel()
 		if err != nil {

@@ -3,10 +3,11 @@ package deflate
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/adler32"
 	"io"
 
 	"lzssfpga/internal/bitio"
-	"lzssfpga/internal/checksum"
 	"lzssfpga/internal/lzss"
 	"lzssfpga/internal/token"
 )
@@ -20,7 +21,7 @@ type Writer struct {
 	w       io.Writer
 	enc     blockWriter
 	sc      *lzss.StreamCompressor
-	adler   *checksum.Adler32
+	adler   hash.Hash32
 	pending []token.Command
 	window  int
 	closed  bool
@@ -60,7 +61,7 @@ func NewWriter(w io.Writer, p lzss.Params) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	zw := &Writer{w: w, sc: sc, adler: checksum.NewAdler32(), window: p.Window}
+	zw := &Writer{w: w, sc: sc, adler: adler32.New(), window: p.Window}
 	// The output buffer is reused block after block; starting it at
 	// 4 KiB spares a small stream the regrowth from empty.
 	zw.enc.bw.Reset(append(make([]byte, 0, 4096), hdr[:]...))
@@ -218,7 +219,7 @@ func (d *StreamInflater) Read(p []byte) (int, error) {
 // incremental inflate, Adler-32 verification at end of stream.
 type Reader struct {
 	d     *StreamInflater
-	adler *checksum.Adler32
+	adler hash.Hash32
 	eof   bool
 	err   error
 }
@@ -238,7 +239,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err := zlibHeader(cmf, flg, false); err != nil {
 		return nil, err
 	}
-	return &Reader{d: d, adler: checksum.NewAdler32()}, nil
+	return &Reader{d: d, adler: adler32.New()}, nil
 }
 
 // Read implements io.Reader; on clean EOF the Adler-32 trailer has been

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"sync"
-
-	"lzssfpga/internal/obs"
 )
 
 // Request is the per-call reorder window: workers complete segments in
@@ -133,10 +131,6 @@ func (e *Engine) SubmitAndStream(ctx context.Context, n, maxInflight int,
 	job func(i int, r *Request) Job, emit func(*Buf, error)) error {
 	r := newRequest(n)
 	defer r.release()
-	// Request-scoped tracing rides in on ctx: the engine counts the
-	// segments it executes on the caller's behalf (the deflate jobs
-	// credit their queue-wait and run time into the same record).
-	rt := obs.RequestFromContext(ctx)
 	if k := engObs.Load(); k != nil {
 		k.requests.Inc()
 	}
@@ -149,7 +143,6 @@ func (e *Engine) SubmitAndStream(ctx context.Context, n, maxInflight int,
 			submitErr = err
 			break
 		}
-		rt.AddSegment()
 		r.submitted()
 		r.poll(emit)
 	}

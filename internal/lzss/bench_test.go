@@ -93,16 +93,11 @@ func BenchmarkCompare(b *testing.B) {
 	for i := range src {
 		src[i] = byte(i % 7) // period-7 so a+258 matches a for 258 bytes
 	}
-	p := HWSpeedParams()
-	m, err := NewMatcher(src, p, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.SetBytes(token.MaxMatch)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if n := m.compare(0, 7*37, token.MaxMatch); n != token.MaxMatch {
-			b.Fatalf("compare = %d, want %d", n, token.MaxMatch)
+		if n := matchLen(src, 0, 7*37, token.MaxMatch); n != token.MaxMatch {
+			b.Fatalf("matchLen = %d, want %d", n, token.MaxMatch)
 		}
 	}
 }
@@ -111,13 +106,13 @@ func BenchmarkCompare(b *testing.B) {
 // chain candidate fails within a word).
 func BenchmarkCompareShort(b *testing.B) {
 	data := benchData()
-	p := HWSpeedParams()
-	m, err := NewMatcher(data, p, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
 	for i := 0; i < b.N; i++ {
-		m.compare(i%1024, 4096+i%1024, 16)
+		n += matchLen(data, i%1024, 4096+i%1024, 16)
+	}
+	if n > 16*b.N {
+		b.Fatalf("matched %d bytes in %d calls of at most 16", n, b.N)
 	}
 }

@@ -489,17 +489,3 @@ func matchLen(src []byte, a, b, maxLen int) int {
 	}
 	return n
 }
-
-// compare counts the length of the common prefix of src[a:] and src[b:],
-// up to maxLen bytes, charging one CompareBytes unit per byte examined.
-// This mirrors the hardware comparer, which always compares from the
-// front of the lookahead buffer. a < b is required.
-func (m *Matcher) compare(a, b, maxLen int) int {
-	n := matchLen(m.src, a, b, maxLen)
-	examined := n
-	if n < maxLen {
-		examined++ // the mismatching byte was also read
-	}
-	m.stats.CompareBytes += int64(examined)
-	return n
-}

@@ -1,7 +1,8 @@
 // Package obs is the repository's zero-dependency observability layer:
 // a named registry of atomic counters, gauges and fixed-bucket
 // histograms, an HTTP exposition handler (Prometheus text format,
-// expvar-style JSON, pprof), and a Chrome trace-event span tracer.
+// expvar-style JSON, pprof), and per-request traces that record each
+// parallel segment's span and render as Chrome trace events.
 //
 // Design rules, in priority order:
 //

@@ -16,15 +16,15 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("x")
 	g := r.Gauge("y")
 	h := r.Histogram("z", []int64{1, 2})
-	var tr *Tracer
+	var rt *RequestTrace
 	// None of these may panic, and all reads are zero.
 	c.Add(5)
 	c.Inc()
 	g.Set(3.5)
 	h.Observe(1)
 	h.MergeBucket(0, 2, 2)
-	tr.Span("s", 0, time.Now(), time.Second, "")
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || tr.Len() != 0 {
+	rt.AddSpan(Span{}, 1)
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
 	if r.Snapshot() != nil {
@@ -34,8 +34,12 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteJSON(&buf); err != nil {
+	buf.Reset()
+	if err := rt.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if buf.String() != `{"traceEvents":[]}` {
+		t.Fatalf("nil trace rendered %q, want an empty document", buf.String())
 	}
 }
 
@@ -199,34 +203,56 @@ func TestServe(t *testing.T) {
 	}
 }
 
-func TestTracerJSON(t *testing.T) {
-	tr := NewTracer()
-	start := time.Now()
-	tr.Span("match", 1, start, 250*time.Microsecond, `{"segment":0}`)
-	tr.Span("encode", 1, start.Add(time.Millisecond), 100*time.Microsecond, "")
+// TestWriteChromeTrace renders a hand-built finalized trace: split and
+// assemble on row 0 bracket the spans, each span becomes a match and an
+// encode event on row worker+1 cut at Matched, and ts/dur are whole
+// microseconds from the trace's start.
+func TestWriteChromeTrace(t *testing.T) {
+	t0 := time.Now()
+	at := func(us int) time.Time { return t0.Add(time.Duration(us) * time.Microsecond) }
+	rt := &RequestTrace{Start: t0, TotalNs: int64(time.Millisecond)}
+	rt.AddSpan(Span{Seg: 0, Worker: 0, Queued: at(100), Started: at(150), Matched: at(400), Done: at(500)}, 3)
+	rt.AddSpan(Span{Seg: 1, Worker: 1, Queued: at(120), Started: at(200), Matched: at(300), Done: at(700)}, 3)
+	rt.AddSpan(Span{Seg: 2, Worker: 0, Queued: at(130), Started: at(500), Matched: at(500), Done: at(600)}, 3)
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := rt.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
+	type event struct {
+		Name string `json:"name"`
+		Ph   string `json:"ph"`
+		Tid  int    `json:"tid"`
+		Ts   int64  `json:"ts"`
+		Dur  int64  `json:"dur"`
+		Args struct {
+			Segment int `json:"segment"`
+		} `json:"args"`
+	}
 	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Tid  int    `json:"tid"`
-			Ts   int64  `json:"ts"`
-			Dur  int64  `json:"dur"`
-		} `json:"traceEvents"`
+		TraceEvents []event `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(doc.TraceEvents) != 2 {
-		t.Fatalf("events = %d", len(doc.TraceEvents))
+	type row struct {
+		name              string
+		tid, seg, ts, dur int
 	}
-	if doc.TraceEvents[0].Name != "match" || doc.TraceEvents[0].Ph != "X" || doc.TraceEvents[0].Dur != 250 {
-		t.Fatalf("event 0: %+v", doc.TraceEvents[0])
+	want := []row{
+		{"split", 0, 0, 0, 100},
+		{"match", 1, 0, 150, 250}, {"encode", 1, 0, 400, 100},
+		{"match", 2, 1, 200, 100}, {"encode", 2, 1, 300, 400},
+		{"match", 1, 2, 500, 0}, {"encode", 1, 2, 500, 100},
+		{"assemble", 0, 0, 700, 300},
 	}
-	if doc.TraceEvents[1].Ts < doc.TraceEvents[0].Ts {
-		t.Fatal("events out of order")
+	if len(doc.TraceEvents) != len(want) {
+		t.Fatalf("events = %d, want %d:\n%s", len(doc.TraceEvents), len(want), buf.String())
+	}
+	for i, w := range want {
+		e := doc.TraceEvents[i]
+		got := row{e.Name, e.Tid, e.Args.Segment, int(e.Ts), int(e.Dur)}
+		if got != w || e.Ph != "X" {
+			t.Errorf("event %d = %+v (ph %q), want %+v (ph X)", i, got, e.Ph, w)
+		}
 	}
 }

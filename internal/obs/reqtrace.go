@@ -1,12 +1,14 @@
 package obs
 
 import (
+	"bufio"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"html"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -29,13 +31,14 @@ import (
 //	                overhead
 //	response_write  writing response bytes to the client's socket
 //
-// Queue and compress are accumulated worker-side (segments run
-// concurrently on engine workers), so their raw sums can exceed the
-// request's wall clock on a multi-core box. Finalize clamps them to the
-// in-engine wall interval — the stage breakdown answers "where did THIS
-// request's latency come from", not "how much worker time did it
-// consume" — which keeps the invariant every consumer can rely on:
-// stages are non-negative and sum to at most the total latency.
+// Queue and compress are derived from the spans the segments record,
+// one per segment (see Span). Segments run concurrently on engine
+// workers, so their raw sums can exceed the request's wall clock on a
+// multi-core box. Finalize clamps them to the in-engine wall interval
+// — the stage breakdown answers "where did THIS request's latency come
+// from", not "how much worker time did it consume" — which keeps the
+// invariant every consumer can rely on: stages are non-negative and sum
+// to at most the total latency.
 
 // Stage indices of RequestTrace.StageNs, in request-timeline order.
 const (
@@ -86,13 +89,13 @@ func NewTraceID() string {
 }
 
 // RequestTrace is one request's trace record. The front creates it at
-// arrival, worker goroutines credit engine-side time through the atomic
-// Add* methods, and the front Finalizes it once the response is
-// written. After Finalize the record is immutable; the Inspector's
-// rings hold it by reference.
+// arrival, engine workers record one Span per segment through AddSpan,
+// and the front Finalizes it once the response is written. After
+// Finalize the record is immutable; the Inspector's rings hold it by
+// reference.
 type RequestTrace struct {
 	ID    string
-	Front string // "http" or "tcp"
+	Front string // "http" or "tcp"; "lib" for a library caller's trace
 	Op    string // "compress" or "decompress"
 	// Level labels the compression tier serving the request (the
 	// server's configured level name, e.g. "11" or "max"). Set by the
@@ -112,15 +115,25 @@ type RequestTrace struct {
 	StageNs  [NumStages]int64
 	Err      string
 
-	// Accumulators. slotNs and writeNs are only touched by the request's
-	// own goroutine; queueNs, compressNs and segs are credited from
-	// engine workers and must be atomic.
+	// Accumulators, touched only by the request's own goroutine.
 	slotNs     int64
 	writeNs    int64
-	queueNs    atomic.Int64
-	compressNs atomic.Int64
-	segs       atomic.Int64
+	compressNs int64
 	done       atomic.Bool
+
+	// spans are appended by engine workers under mu.
+	mu    sync.Mutex
+	spans []Span
+}
+
+// Span is one segment's stay on an engine worker: the segment index,
+// the 0-based worker that ran it, and four instants — queued for the
+// engine, picked up by the worker, matching done (the last attempt to
+// finish matching; Started when none did), and done. It covers the
+// whole stay, resilient retries and injected stalls included.
+type Span struct {
+	Seg, Worker                    int
+	Queued, Started, Matched, Done time.Time
 }
 
 // NewRequestTrace starts a trace for one request arriving on front.
@@ -137,30 +150,28 @@ func (rt *RequestTrace) SlotAcquired() {
 	rt.slotNs = time.Since(rt.Start).Nanoseconds()
 }
 
-// AddQueueWait credits time a segment of this request spent queued
-// before a worker picked it up. Safe from worker goroutines.
-func (rt *RequestTrace) AddQueueWait(d time.Duration) {
-	if rt == nil || d <= 0 {
+// AddSpan records one segment's span; n is the run's segment count, so
+// the first span sizes the record for the whole run. Safe from worker
+// goroutines.
+func (rt *RequestTrace) AddSpan(s Span, n int) {
+	if rt == nil {
 		return
 	}
-	rt.queueNs.Add(d.Nanoseconds())
+	rt.mu.Lock()
+	if rt.spans == nil {
+		rt.spans = make([]Span, 0, n)
+	}
+	rt.spans = append(rt.spans, s)
+	rt.mu.Unlock()
 }
 
-// AddCompress credits one segment's execution time (or, on decompress
-// requests, the inflate call). Safe from worker goroutines.
+// AddCompress credits execution time the engine does not record: a
+// decompress request's inflate call. Driver-goroutine only.
 func (rt *RequestTrace) AddCompress(d time.Duration) {
 	if rt == nil || d <= 0 {
 		return
 	}
-	rt.compressNs.Add(d.Nanoseconds())
-}
-
-// AddSegment counts one engine job submitted on behalf of this request.
-func (rt *RequestTrace) AddSegment() {
-	if rt == nil {
-		return
-	}
-	rt.segs.Add(1)
+	rt.compressNs += d.Nanoseconds()
 }
 
 // AddWrite credits time spent writing response bytes to the client.
@@ -183,16 +194,23 @@ func (rt *RequestTrace) SetErr(err error) {
 // Finalize freezes the trace: engineWall is the wall duration the
 // request spent inside the compression/decompression call (response
 // writes included — the streaming sink writes from within it), and out
-// is the response payload size. The engine-side accumulators are
-// clamped into the engine-wall interval so the five stages partition
-// observed wall time and never sum past the total.
+// is the response payload size. The spans' queue and run times are
+// summed and clamped into the engine-wall interval so the five stages
+// partition observed wall time and never sum past the total.
 func (rt *RequestTrace) Finalize(engineWall time.Duration, out int64) {
 	if rt == nil || rt.done.Swap(true) {
 		return
 	}
 	rt.OutBytes = out
-	rt.Segments = rt.segs.Load()
 	rt.TotalNs = time.Since(rt.Start).Nanoseconds()
+	queue, comp := int64(0), rt.compressNs
+	rt.mu.Lock()
+	rt.Segments = int64(len(rt.spans))
+	for _, s := range rt.spans {
+		queue += max(s.Started.Sub(s.Queued).Nanoseconds(), 0)
+		comp += max(s.Done.Sub(s.Started).Nanoseconds(), 0)
+	}
+	rt.mu.Unlock()
 
 	// The sink writes happen inside the engine call; carve them out so
 	// the engine interval attributes only queue/compress/reorder time.
@@ -200,9 +218,9 @@ func (rt *RequestTrace) Finalize(engineWall time.Duration, out int64) {
 	if engNs < 0 {
 		engNs = 0
 	}
-	queue := min64(rt.queueNs.Load(), engNs)
-	comp := min64(rt.compressNs.Load(), engNs-queue)
-	rt.StageNs[StageSlotWait] = max64(rt.slotNs, 0)
+	queue = min(queue, engNs)
+	comp = min(comp, engNs-queue)
+	rt.StageNs[StageSlotWait] = max(rt.slotNs, 0)
 	rt.StageNs[StageQueueWait] = queue
 	rt.StageNs[StageCompress] = comp
 	rt.StageNs[StageReorderWait] = engNs - queue - comp
@@ -221,20 +239,6 @@ func (rt *RequestTrace) Finalize(engineWall time.Duration, out int64) {
 
 // Finalized reports whether Finalize has run.
 func (rt *RequestTrace) Finalized() bool { return rt != nil && rt.done.Load() }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // MarshalJSON renders a finalized trace for the /debug/requests
 // inspector (and tests). Only called on immutable (finalized) traces.
@@ -259,12 +263,57 @@ func (rt *RequestTrace) MarshalJSON() ([]byte, error) {
 		rt.Segments, rt.TotalNs, stages, rt.Err})
 }
 
+// WriteChromeTrace writes a finalized trace as Chrome trace-event JSON
+// ("complete" events, microseconds from Start), the format
+// chrome://tracing and https://ui.perfetto.dev load directly: on row 0,
+// "split" from the request's start to its first segment's queueing and
+// "assemble" from its last segment's end to the request's end; on row
+// worker+1, one "match" and one "encode" span per segment, cut at the
+// segment's Matched instant. A nil trace writes an empty document.
+func (rt *RequestTrace) WriteChromeTrace(w io.Writer) error {
+	if rt == nil {
+		_, err := io.WriteString(w, `{"traceEvents":[]}`)
+		return err
+	}
+	rt.mu.Lock()
+	spans := append([]Span(nil), rt.spans...)
+	rt.mu.Unlock()
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	sep := ""
+	event := func(name string, tid int, from, to time.Time, args string) {
+		fmt.Fprintf(bw, `%s{"name":%q,"cat":"pipeline","ph":"X","pid":1,"tid":%d,"ts":%d,"dur":%d%s}`,
+			sep, name, tid, from.Sub(rt.Start).Microseconds(), to.Sub(from).Microseconds(), args)
+		sep = ",\n"
+	}
+	if len(spans) > 0 {
+		first, last := spans[0].Queued, spans[0].Done
+		for _, s := range spans {
+			if s.Queued.Before(first) {
+				first = s.Queued
+			}
+			if s.Done.After(last) {
+				last = s.Done
+			}
+		}
+		event("split", 0, rt.Start, first, "")
+		for _, s := range spans {
+			args := fmt.Sprintf(`,"args":{"segment":%d}`, s.Seg)
+			event("match", s.Worker+1, s.Started, s.Matched, args)
+			event("encode", s.Worker+1, s.Matched, s.Done, args)
+		}
+		event("assemble", 0, last, rt.Start.Add(time.Duration(rt.TotalNs)), "")
+	}
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
+}
+
 // reqTraceKey is the context key carrying a *RequestTrace through the
-// serving path into the engine and the deflate segment workers.
+// serving path into the deflate segment workers.
 type reqTraceKey struct{}
 
-// ContextWithRequest returns ctx carrying rt; the deflate drivers and
-// the engine pick it up to credit per-request stage time.
+// ContextWithRequest returns ctx carrying rt; the parallel compressor
+// picks it up to record one span per segment.
 func ContextWithRequest(ctx context.Context, rt *RequestTrace) context.Context {
 	if rt == nil {
 		return ctx

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -75,14 +76,16 @@ func TestTraceIDs(t *testing.T) {
 func TestRequestTraceNilSafety(t *testing.T) {
 	var rt *RequestTrace
 	rt.SlotAcquired()
-	rt.AddQueueWait(time.Millisecond)
+	rt.AddSpan(Span{}, 1)
 	rt.AddCompress(time.Millisecond)
-	rt.AddSegment()
 	rt.AddWrite(time.Millisecond)
 	rt.SetErr(fmt.Errorf("x"))
 	rt.Finalize(time.Second, 1)
 	if rt.Finalized() {
 		t.Fatal("nil trace cannot be finalized")
+	}
+	if err := rt.WriteChromeTrace(io.Discard); err != nil {
+		t.Fatal(err)
 	}
 	if RequestFromContext(context.Background()) != nil {
 		t.Fatal("empty context must carry no trace")
@@ -94,8 +97,8 @@ func TestRequestTraceNilSafety(t *testing.T) {
 
 // TestFinalizeClampsStages pins the invariant every consumer relies on:
 // stages are non-negative and sum to at most the total, even when the
-// worker-side accumulators (credited concurrently across workers) exceed
-// the request's wall clock.
+// spans' queue and run times (recorded concurrently across workers)
+// exceed the request's wall clock.
 func TestFinalizeClampsStages(t *testing.T) {
 	rt := NewRequestTrace("http", "compress")
 	rt.InBytes = 1 << 20
@@ -103,9 +106,9 @@ func TestFinalizeClampsStages(t *testing.T) {
 	// Eight segments ran concurrently: 8×5ms of compress and 8×1ms of
 	// queueing against an engine wall of only 10ms.
 	for i := 0; i < 8; i++ {
-		rt.AddSegment()
-		rt.AddQueueWait(time.Millisecond)
-		rt.AddCompress(5 * time.Millisecond)
+		q := rt.Start.Add(time.Duration(i) * time.Microsecond)
+		rt.AddSpan(Span{Seg: i, Worker: i % 4, Queued: q, Started: q.Add(time.Millisecond),
+			Matched: q.Add(4 * time.Millisecond), Done: q.Add(6 * time.Millisecond)}, 8)
 	}
 	rt.AddWrite(3 * time.Millisecond)
 	rt.Finalize(13*time.Millisecond, 1<<19) // 10ms engine + 3ms writes
@@ -125,6 +128,10 @@ func TestFinalizeClampsStages(t *testing.T) {
 	engNs := int64(10 * time.Millisecond)
 	if got := rt.StageNs[StageQueueWait] + rt.StageNs[StageCompress] + rt.StageNs[StageReorderWait]; got != engNs {
 		t.Fatalf("engine-side stages sum to %d, want clamped engine wall %d", got, engNs)
+	}
+	// Queue is clamped first (8ms fits), compress gets the remaining 2ms.
+	if q, c := rt.StageNs[StageQueueWait], rt.StageNs[StageCompress]; q != int64(8*time.Millisecond) || c != int64(2*time.Millisecond) {
+		t.Fatalf("queue_wait = %d, compress = %d, want 8ms and 2ms", q, c)
 	}
 	if rt.StageNs[StageWrite] != int64(3*time.Millisecond) {
 		t.Fatalf("write stage = %d", rt.StageNs[StageWrite])

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestStressConcurrentScrape hammers counters, gauges and histograms
@@ -17,7 +16,6 @@ func TestStressConcurrentScrape(t *testing.T) {
 	c := r.Counter("stress_ops_total")
 	g := r.Gauge("stress_gauge")
 	h := r.Histogram("stress_hist", []int64{1, 4, 16, 64, 256})
-	tr := NewTracer()
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
@@ -27,9 +25,8 @@ func TestStressConcurrentScrape(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
-			start := time.Now()
 			for i := 0; i < opsPerWorker; i++ {
 				c.Inc()
 				g.Set(float64(i))
@@ -38,10 +35,9 @@ func TestStressConcurrentScrape(t *testing.T) {
 					h.MergeBucket(2, 3, 30)
 					// Late registration racing the scrape.
 					r.Counter("stress_late_total").Inc()
-					tr.Span("op", id, start, time.Microsecond, "")
 				}
 			}
-		}(w)
+		}()
 	}
 	// Scrape continuously until the writers finish.
 	done := make(chan struct{})
@@ -56,9 +52,6 @@ func TestStressConcurrentScrape(t *testing.T) {
 		}
 		if err := r.WriteExpvar(io.Discard); err != nil {
 			t.Errorf("expvar scrape: %v", err)
-		}
-		if err := tr.WriteJSON(io.Discard); err != nil {
-			t.Errorf("trace write: %v", err)
 		}
 		_ = r.Snapshot()
 		scrapes++

@@ -158,8 +158,8 @@ func CompressParallel(data []byte, p Params, segment, workers int) ([]byte, erro
 
 // ParallelOpts configures CompressParallelOpts: segmentation, worker
 // budget, dictionary carry-over or a preset dictionary, a streaming
-// sink, a span tracer, and the resilient path with its retry budget,
-// per-attempt deadline and fault-injection hook.
+// sink, and the resilient path with its retry budget, per-attempt
+// deadline and fault-injection hook.
 type ParallelOpts = deflate.ParallelOpts
 
 // ResilienceReport is the ledger of one parallel run: its segment
@@ -172,13 +172,13 @@ type ResilienceReport = deflate.ResilienceReport
 // default, recovering nearly all of the ratio segmenting loses); Dict
 // compresses against a preset dictionary into an FDICT stream
 // (DecompressDict decodes it); Sink streams the output in order as
-// segments complete (the returned slice is then nil); Tracer records
-// the pipeline stages for chrome://tracing; Resilient recovers
-// panicking workers, bounds attempts by deadline, self-checks each
-// segment and degrades a segment that exhausts its retries to stored
-// blocks instead of failing the stream. Output is deterministic for
-// any worker count and identical on the fast and resilient paths. ctx
-// cancellation stops the run and returns its error.
+// segments complete (the returned slice is then nil); Resilient
+// recovers panicking workers, bounds attempts by deadline, self-checks
+// each segment and degrades a segment that exhausts its retries to
+// stored blocks instead of failing the stream. Output is deterministic
+// for any worker count and identical on the fast and resilient paths.
+// ctx cancellation stops the run and returns its error; a trace on ctx
+// (TraceContext) records one span per segment.
 func CompressParallelOpts(ctx context.Context, data []byte, p Params, o ParallelOpts) ([]byte, ResilienceReport, error) {
 	return deflate.ParallelCompress(ctx, data, p, o)
 }
@@ -269,18 +269,22 @@ func EstimateResources(cfg HWConfig) (ResourceEstimate, error) {
 // disabled state and costs nothing on the hot paths.
 type MetricsRegistry = obs.Registry
 
-// Tracer collects Chrome trace-event spans (chrome://tracing /
-// Perfetto-loadable JSON) for pipeline stages; see NewTracer and
-// ParallelOpts.Tracer.
-type Tracer = obs.Tracer
-
 // NewMetricsRegistry returns an empty enabled metrics registry. Wire it
 // into every instrumented layer with EnableObservability and serve it
 // with ServeMetrics.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewTracer starts an empty pipeline trace.
-func NewTracer() *Tracer { return obs.NewTracer() }
+// RequestTrace is one traced call's record (see internal/obs): a
+// CompressParallelOpts run on a context from TraceContext records one
+// span per segment into it. Finalize it after the call; WriteChromeTrace
+// then renders the pipeline for chrome://tracing or Perfetto.
+type RequestTrace = obs.RequestTrace
+
+// TraceContext starts a trace and returns ctx carrying it.
+func TraceContext(ctx context.Context) (context.Context, *RequestTrace) {
+	rt := obs.NewRequestTrace("lib", "compress")
+	return obs.ContextWithRequest(ctx, rt), rt
+}
 
 // EnableObservability points every instrumented layer (lzss matcher,
 // deflate pipeline + streaming writer, compression engine, hardware

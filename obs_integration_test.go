@@ -39,11 +39,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	data := workload.Wiki(600_000, 77)
-	tr := NewTracer()
-	z, _, err := CompressParallelOpts(context.Background(), data, HWSpeedParams(), ParallelOpts{Workers: 4, Tracer: tr})
+	ctx, tr := TraceContext(context.Background())
+	z, rep, err := CompressParallelOpts(ctx, data, HWSpeedParams(), ParallelOpts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.Finalize(time.Since(tr.Start), int64(len(z)))
 	back, err := Decompress(z)
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("traced round trip failed: %v", err)
@@ -119,7 +120,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		} `json:"traceEvents"`
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -144,6 +145,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if stages["match"] != stages["encode"] {
 		t.Errorf("match spans (%d) != encode spans (%d): one pair per segment expected",
 			stages["match"], stages["encode"])
+	}
+	if stages["match"] != rep.Segments {
+		t.Errorf("match spans (%d) != segments (%d): one pair per segment expected",
+			stages["match"], rep.Segments)
 	}
 	if len(workerRows) == 0 {
 		t.Error("no worker rows in trace")
@@ -235,7 +240,7 @@ func TestObservabilityResilienceCounters(t *testing.T) {
 }
 
 // TestObservabilityDisabledIsInert checks the nil-registry state: the
-// instrumented paths run with no sink and a disabled tracer writes an
+// instrumented paths run with no sink and a nil trace renders an
 // empty-but-valid trace document.
 func TestObservabilityDisabledIsInert(t *testing.T) {
 	obsMu.Lock()
@@ -248,16 +253,16 @@ func TestObservabilityDisabledIsInert(t *testing.T) {
 	}
 	back, err := Decompress(z)
 	if err != nil || !bytes.Equal(back, data) {
-		t.Fatalf("round trip with nil tracer failed: %v", err)
+		t.Fatalf("untraced round trip failed: %v", err)
 	}
-	var tr *Tracer
+	var tr *RequestTrace
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("nil tracer output is not JSON: %v\n%s", err, buf.String())
+		t.Fatalf("nil trace output is not JSON: %v\n%s", err, buf.String())
 	}
 }
 
