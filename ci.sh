@@ -8,8 +8,10 @@
 # check, the server e2e/drain/soak suite and the frame codec's pin,
 # differential and allocation gate), the greedy matcher and emit
 # identity gate, the cache stampede soak
-# and the preset-dictionary round-trip gate, the cluster kill/drain
-# chaos gate, the inflate drivers gate, the metric names-drift
+# and the preset-dictionary round-trip gate (with the unknown-dict
+# rejection at capacity on both fronts), the cluster kill/drain
+# chaos gate (with the idle-fleet live count), the inflate drivers
+# gate, the metric names-drift
 # guard, coverage floors on the serving (lzssd and the cluster front)
 # and matching layers, the
 # suffix-array differential battery (cross-matcher round trips, the
@@ -159,7 +161,9 @@ race_gate 'TestServerCacheStampedeE2E|TestCacheStampede|TestFrontCacheStampede' 
 echo "== dict round-trip gate (race) =="
 # Preset-dictionary serving: byte-exact round trips over HTTP and
 # framed TCP, including through a cluster front, and the unknown-dict
-# in-band rejection on both fronts. Dictionary requests run the
+# in-band rejection on both fronts: resolved before the slot gate, so
+# it answers 400 / StatusUnknownDict with every slot held, and never
+# filed in the inspector. Dictionary requests run the
 # configured resilient path: they survive panicking workers and a
 # disconnecting HTTP client stops their compute and frees the slot.
 race_gate 'TestServerDictRoundTripBothFronts|TestServerUnknownDict|TestServerDictResilient|TestServerClientDisconnectReleasesSlot|TestFrontDictRoundTripAndCache' ./internal/server ./internal/cluster
@@ -168,8 +172,10 @@ echo "== cluster chaos gate (race) =="
 # Kill one backend outright and rolling-drain another while a 4-member
 # fleet serves pipelined load: zero failed round trips, byte-exact
 # responses, retries observed, breaker open/close transitions in the
-# scrape (see TestClusterChaos).
-race_gate TestClusterChaos -timeout 180s ./internal/cluster
+# scrape (see TestClusterChaos). Its recovery check reads Live(), so the
+# gate also holds Live() and cluster_backends_live to counting a member
+# whose breaker's open interval has elapsed with no traffic.
+race_gate 'TestClusterChaos|TestLiveCountsElapsedOpenBreaker' -timeout 180s ./internal/cluster
 
 echo "== suffix-array differential battery (race) =="
 # The high-ratio tier's proof obligations: command streams verified by

@@ -297,11 +297,13 @@ func dictRegistry() (*lzssfpga.DictRegistry, error) {
 	return lzssfpga.NewBuiltinDictRegistry(classes...)
 }
 
-// level maps -level/-window/-hash onto matcher parameters, mirroring
-// lzsszip's mapping ("min" is the paper's speed point when the window
-// is left at its 4 KiB default; numeric 10-12 select the suffix-array
-// high-ratio tier, at the full 32 KiB window when -window/-hash are
-// left at their defaults).
+// level maps -level/-window/-hash onto matcher parameters. At the
+// default 4 KiB window and 15-bit hash, "min" is HWSpeedParams, the
+// paper's speed point (lzsszip's "min" is LevelParams(LevelMin, ...),
+// which adds the generation-two features), and 10-12 are
+// SARatioParams, the suffix-array tier at the full 32 KiB window. Every
+// other level, and every level at another window or hash, is
+// LevelParams at the given window and hash.
 func level() (lzssfpga.Params, error) {
 	switch *levelArg {
 	case "min":

@@ -75,6 +75,20 @@ func (b *breaker) State() BreakerState {
 	return b.state
 }
 
+// live reports whether the breaker counts its member live: closed,
+// half-open, or open past its interval (the next request would be
+// admitted as the half-open probe). Unlike allow it changes no state,
+// so on an idle fleet a member counts again once its interval runs out.
+func (b *breaker) live() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state != BreakerOpen || b.elapsed()
+}
+
+// elapsed reports whether the open interval has run out. Caller holds
+// b.mu.
+func (b *breaker) elapsed() bool { return !b.now().Before(b.openUntil) }
+
 // allow asks whether one request may proceed. In half-open only a
 // single probe is admitted at a time; everyone else is rejected until
 // the probe resolves.
@@ -87,7 +101,7 @@ func (b *breaker) allow() bool {
 	case BreakerClosed:
 		ok = true
 	case BreakerOpen:
-		if !b.now().Before(b.openUntil) {
+		if b.elapsed() {
 			from, to = b.state, BreakerHalfOpen
 			b.state = BreakerHalfOpen
 			b.probing = true

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lzssfpga/internal/obs"
 )
 
 // fakeClock is the breaker's time seam: tests advance it by hand.
@@ -211,5 +213,42 @@ func TestBreakerFailureWhileOpenIsNoOp(t *testing.T) {
 	}
 	if len(trans) != n {
 		t.Fatalf("late failures fired transitions: %v", trans[n:])
+	}
+}
+
+// TestLiveCountsElapsedOpenBreaker: Live, and so cluster_backends_live,
+// leaves a member out while its breaker is open and counts it again
+// once the open interval has elapsed, with no request to move the
+// breaker to half-open: an idle fleet must not read a recovered member
+// as down. The probe tick's recount carries the gauge along.
+func TestLiveCountsElapsedOpenBreaker(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetObservability(reg)
+	defer SetObservability(nil)
+	clk := newFakeClock()
+	c := newTestCluster(t, []BackendSpec{{TCP: "127.0.0.1:1"}, {TCP: "127.0.0.1:2"}}, func(cfg *Config) {
+		cfg.now = clk.now
+		cfg.ProbeInterval = -1 // the test ticks the probe by hand
+	})
+	live := reg.Gauge(obs.ClusterBackendsLive)
+
+	c.members[0].br.failure() // one failure trips it (threshold 1)
+	if n := c.Live(); n != 1 {
+		t.Fatalf("with one breaker open Live() = %d, want 1", n)
+	}
+	if v := live.Value(); v != 1 {
+		t.Fatalf("%s = %v with one breaker open, want 1", obs.ClusterBackendsLive, v)
+	}
+
+	clk.advance(c.cfg.BreakerOpenFor)
+	if got := c.members[0].br.State(); got != BreakerOpen {
+		t.Fatalf("breaker %s with no traffic, want still open", got)
+	}
+	if n := c.Live(); n != 2 {
+		t.Fatalf("open interval elapsed: Live() = %d, want 2", n)
+	}
+	c.probeOnce()
+	if v := live.Value(); v != 2 {
+		t.Fatalf("%s = %v after a probe tick, want 2", obs.ClusterBackendsLive, v)
 	}
 }

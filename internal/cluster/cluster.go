@@ -63,8 +63,6 @@ func ParseBackends(s string) ([]BackendSpec, error) {
 type Config struct {
 	// Backends is the fixed member fleet (at least one).
 	Backends []BackendSpec
-	// VNodes is the number of ring points per member (0 selects 64).
-	VNodes int
 	// MaxResp caps one response payload read from a backend (0 selects
 	// 1 GiB); DialTimeout bounds one backend dial (0 selects 1s).
 	MaxResp     int
@@ -95,9 +93,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.MaxResp <= 0 {
 		c.MaxResp = 1 << 30
 	}
@@ -262,7 +257,7 @@ func New(cfg Config) (*Cluster, error) {
 		)
 		c.members = append(c.members, m)
 	}
-	c.ring = newRing(addrs, cfg.VNodes)
+	c.ring = newRing(addrs, vnodes)
 	if k := cObs.Load(); k != nil {
 		k.backends.Set(float64(len(c.members)))
 	}
@@ -296,12 +291,13 @@ func (c *Cluster) Close() error {
 // Members returns the configured backend count.
 func (c *Cluster) Members() int { return len(c.members) }
 
-// Live returns how many members are currently routable with a
-// non-open breaker — the cluster_backends_live gauge's value.
+// Live returns how many members are currently routable with a breaker
+// that counts them live (see breaker.live) — the cluster_backends_live
+// gauge's value.
 func (c *Cluster) Live() int {
 	live := 0
 	for _, m := range c.members {
-		if m.routable() && m.br.State() != BreakerOpen {
+		if m.routable() && m.br.live() {
 			live++
 		}
 	}

@@ -21,13 +21,10 @@ type FrontConfig struct {
 	// 64 MiB).
 	MaxRequestBytes int
 	// ReadTimeout bounds the idle wait for a request and, armed afresh,
-	// the receive of one message (0 selects 30s); RequestTimeout bounds
-	// one request's whole trip through the fleet, retries included (0
-	// selects 2m); WriteTimeout bounds writing one response (0 selects
-	// 60s).
-	ReadTimeout    time.Duration
-	RequestTimeout time.Duration
-	WriteTimeout   time.Duration
+	// the receive of one message (0 selects 30s); WriteTimeout bounds
+	// writing one response (0 selects 60s).
+	ReadTimeout  time.Duration
+	WriteTimeout time.Duration
 	// MaxPipelined bounds pipelined in-flight requests per inbound
 	// connection (0 selects 32), mirroring the backend's budget.
 	MaxPipelined int
@@ -52,8 +49,7 @@ type FrontConfig struct {
 type Front struct {
 	*server.TCPFront
 
-	c              *Cluster
-	requestTimeout time.Duration
+	c *Cluster
 
 	// cache is the routing-tier result cache (nil when disabled).
 	cache *cache.Cache
@@ -61,10 +57,7 @@ type Front struct {
 
 // NewFront wraps c in a framed-TCP front.
 func NewFront(c *Cluster, cfg FrontConfig) *Front {
-	f := &Front{c: c, requestTimeout: cfg.RequestTimeout}
-	if f.requestTimeout <= 0 {
-		f.requestTimeout = 2 * time.Minute
-	}
+	f := &Front{c: c}
 	if cfg.CacheBytes > 0 {
 		f.cache = cache.New(cache.Config{MaxBytes: cfg.CacheBytes})
 	}
@@ -94,10 +87,14 @@ func (f *Front) CacheStats() cache.Stats {
 	return f.cache.Stats()
 }
 
+// requestTimeout bounds one request's whole trip through the fleet,
+// retries included.
+const requestTimeout = 2 * time.Minute
+
 // serve is the front's routing handler: it answers with the fleet's
 // response, stamped with the backend's trace ID.
 func (f *Front) serve(r server.Reply, msg *server.Message) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.requestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	out, traceID, err := f.route(ctx, msg)
 	cancel()
 	if err != nil {

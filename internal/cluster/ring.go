@@ -27,6 +27,9 @@ type ring struct {
 	n      int         // member count
 }
 
+// vnodes is the number of ring points each cluster member owns.
+const vnodes = 64
+
 type ringPoint struct {
 	hash   uint64
 	member int

@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 
 	"lzssfpga/internal/cache"
-	"lzssfpga/internal/cache/dict"
 	"lzssfpga/internal/deflate"
 )
 
@@ -31,9 +30,9 @@ func configFingerprint(cfg Config) uint64 {
 
 // resolveDict maps a request's negotiated dictionary ID onto the
 // registered bytes. The empty ID is "no dictionary" (nil, nil); a
-// non-empty ID against a nil registry or an unregistered name returns
-// ErrUnknownDict — the deterministic client error both fronts map to
-// StatusUnknownDict / HTTP 400.
+// non-empty ID against a nil registry or an unregistered name (the
+// registry's only failure) returns ErrUnknownDict — the deterministic
+// client error both fronts map to StatusUnknownDict / HTTP 400.
 func (s *Server) resolveDict(id string) ([]byte, error) {
 	if id == "" {
 		return nil, nil
@@ -43,10 +42,7 @@ func (s *Server) resolveDict(id string) ([]byte, error) {
 	}
 	d, err := s.cfg.Dicts.Resolve(id)
 	if err != nil {
-		if errors.Is(err, dict.ErrUnknown) {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownDict, id)
-		}
-		return nil, err
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDict, id)
 	}
 	return d, nil
 }
@@ -77,13 +73,7 @@ func (s *Server) compressCached(ctx context.Context, data []byte, dictID string,
 	var verify func([]byte) error
 	if s.cfg.CacheVerify {
 		verify = func(z []byte) error {
-			var out []byte
-			var err error
-			if dictBytes != nil {
-				out, err = deflate.ZlibDecompressDictLimited(z, dictBytes, s.cfg.Decode)
-			} else {
-				out, err = deflate.ZlibDecompressLimited(z, s.cfg.Decode)
-			}
+			out, err := s.decompressDict(z, dictBytes)
 			if err != nil {
 				return err
 			}
@@ -107,14 +97,18 @@ func (w *writerBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// decompressDict inflates z under the configured decode limits,
-// seeding the inflater's history with the negotiated dictionary when
-// one was resolved. Every rejection wraps ErrCorrupt.
+// decompressDict inflates untrusted input z under the configured
+// decode limits, seeding the inflater's history with the negotiated
+// dictionary when one was resolved. Every rejection wraps ErrCorrupt,
+// and it never panics.
 func (s *Server) decompressDict(z, dictBytes []byte) ([]byte, error) {
+	var out []byte
+	var err error
 	if dictBytes == nil {
-		return s.decompress(z)
+		out, err = deflate.ZlibDecompressLimited(z, s.cfg.Decode)
+	} else {
+		out, err = deflate.ZlibDecompressDictLimited(z, dictBytes, s.cfg.Decode)
 	}
-	out, err := deflate.ZlibDecompressDictLimited(z, dictBytes, s.cfg.Decode)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}

@@ -137,28 +137,6 @@ func (h *HTTP) Dicts(ctx context.Context) ([]DictInfo, error) {
 	return infos, nil
 }
 
-// Healthy probes GET /healthz; it returns nil while the server is
-// accepting work and ErrDraining once the drain has begun.
-func (h *HTTP) Healthy(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := h.c.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		return server.ErrDraining
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: %s", resp.Status)
-	}
-	return nil
-}
-
 // Health is the cluster-membership view of one backend, read from
 // GET /healthz?fmt=json.
 type Health struct {
@@ -171,9 +149,9 @@ type Health struct {
 	MaxInflight int `json:"max_inflight"`
 }
 
-// Health probes GET /healthz?fmt=json. Unlike Healthy it succeeds on a
-// draining server (State reports it); it errors only when the probe
-// itself fails or the body is not the JSON health document.
+// Health probes GET /healthz?fmt=json. It succeeds on a draining
+// server too (State reports it); it errors only when the probe itself
+// fails or the body is not the JSON health document.
 func (h *HTTP) Health(ctx context.Context) (Health, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+"/healthz?fmt=json", nil)
 	if err != nil {

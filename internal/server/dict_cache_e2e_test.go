@@ -14,6 +14,7 @@ import (
 
 	"lzssfpga/internal/cache/dict"
 	"lzssfpga/internal/deflate"
+	"lzssfpga/internal/obs"
 	"lzssfpga/internal/server"
 	"lzssfpga/internal/server/client"
 	"lzssfpga/internal/workload"
@@ -219,8 +220,13 @@ func TestServerDictHTTPHeaders(t *testing.T) {
 
 // TestServerUnknownDict: a bogus dictionary ID is a deterministic
 // in-band rejection on both fronts — ErrUnknownDict, connection still
-// usable, no engine slot consumed.
+// usable, no engine slot consumed, nothing filed in the inspector — and
+// it is resolved before the slot gate, so it answers the same with
+// every slot held.
 func TestServerUnknownDict(t *testing.T) {
+	insp := obs.NewInspector()
+	server.SetInspector(insp)
+	defer server.SetInspector(nil)
 	srv, httpAddr, tcpAddr := newDictServer(t, 0, false)
 	ctx := context.Background()
 	p := []byte("some payload")
@@ -229,6 +235,9 @@ func TestServerUnknownDict(t *testing.T) {
 	if _, err := hc.CompressDict(ctx, p, "nope"); !errors.Is(err, server.ErrUnknownDict) {
 		t.Fatalf("http unknown dict err = %v, want ErrUnknownDict", err)
 	}
+	if n := insp.Completed(); n != 0 {
+		t.Errorf("http unknown-dict rejection filed %d requests in the inspector, want 0", n)
+	}
 	tc, err := client.DialMuxTimeout(tcpAddr, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +245,12 @@ func TestServerUnknownDict(t *testing.T) {
 	defer tc.Close()
 	tctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
+	filed := insp.Completed()
 	if _, err := tc.CompressDict(tctx, p, "nope"); !errors.Is(err, server.ErrUnknownDict) {
 		t.Fatalf("tcp unknown dict err = %v, want ErrUnknownDict", err)
+	}
+	if n := insp.Completed() - filed; n != 0 {
+		t.Errorf("tcp unknown-dict rejection filed %d requests in the inspector, want 0", n)
 	}
 	// The rejection is in-band: the same connection keeps serving.
 	z, err := tc.CompressDict(tctx, p, "wiki")
@@ -256,6 +269,65 @@ func TestServerUnknownDict(t *testing.T) {
 	_, httpAddr2, _ := newTestServer(t, server.Config{})
 	if _, err := client.NewHTTP(httpAddr2).CompressDict(ctx, p, "wiki"); !errors.Is(err, server.ErrUnknownDict) {
 		t.Fatalf("no-registry err = %v, want ErrUnknownDict", err)
+	}
+
+	// With the only engine slot held, an unknown dictionary still
+	// answers 400 / StatusUnknownDict and a known one 429 / StatusBusy.
+	reg, err := dict.NewBuiltinRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	full, fullHTTP, fullTCP := newTestServer(t, server.Config{
+		MaxInflight: 1,
+		Resilient:   true,
+		SegmentHook: gateHook(gate),
+		Dicts:       reg,
+	})
+	held := make(chan error, 1)
+	go func() {
+		_, err := client.NewHTTP(fullHTTP).Compress(ctx, p)
+		held <- err
+	}()
+	waitFor(t, "the held request to take the only slot", func() bool { return full.Inflight() == 1 })
+	conn, err := net.Dial("tcp", fullTCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	for _, row := range []struct {
+		dictID     string
+		httpStatus int
+		wireStatus byte
+	}{
+		{"nope", http.StatusBadRequest, server.StatusUnknownDict},
+		{"wiki", http.StatusTooManyRequests, server.StatusBusy},
+	} {
+		req, err := http.NewRequest(http.MethodPost, "http://"+fullHTTP+"/compress", bytes.NewReader(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(server.DictHeader, row.dictID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != row.httpStatus {
+			t.Errorf("http dict %q at capacity: status %d, want %d", row.dictID, resp.StatusCode, row.httpStatus)
+		}
+		msg, err := plainDo(conn, &server.Message{Op: server.OpCompress, Payload: p, DictID: row.dictID})
+		if msg == nil {
+			t.Fatalf("tcp dict %q at capacity: %v", row.dictID, err)
+		}
+		if msg.Status != row.wireStatus {
+			t.Errorf("tcp dict %q at capacity: status %d, want %d", row.dictID, msg.Status, row.wireStatus)
+		}
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
 	}
 }
 

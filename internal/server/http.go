@@ -38,8 +38,8 @@ const DictHeader = "X-Lzss-Dict"
 // (Retry-After: 1), draining → 503, wrong method → 405.
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/compress", s.handleCompress)
-	mux.HandleFunc("/decompress", s.handleDecompress)
+	mux.HandleFunc("/compress", s.handle(OpCompress))
+	mux.HandleFunc("/decompress", s.handle(OpDecompress))
 	mux.HandleFunc("/dicts", s.handleDicts)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
@@ -90,59 +90,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// gate runs the checks shared by both POST endpoints and reads the
-// whole (cap-bounded) request body. On failure the response has been
-// written and ok is false. On success the engine slot is held (the
-// caller must release it), the trace has its slot-wait stamped and its
-// input size set, and the request is registered with the inspector —
-// requests bounced before acquiring a slot never entered service and
-// are not traced.
-func (s *Server) gate(w http.ResponseWriter, r *http.Request, rt *obs.RequestTrace) (body []byte, ok bool) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return nil, false
-	}
-	if s.draining.Load() {
-		http.Error(w, ErrDraining.Error(), http.StatusServiceUnavailable)
-		return nil, false
-	}
-	if !s.acquire() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, ErrBusy.Error(), http.StatusTooManyRequests)
-		return nil, false
-	}
-	rt.SlotAcquired()
-	// Stage the whole request first, the way the paper's testbench
-	// stages a block in DDR2 before streaming it through the
-	// compressor. The cap turns a hostile Content-Length or an endless
-	// chunked body into a 413 instead of unbounded memory.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxRequestBytes)))
-	if err != nil {
-		s.release()
-		countError()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("%v: request over the %d-byte cap", ErrTooLarge, s.cfg.MaxRequestBytes),
-				http.StatusRequestEntityTooLarge)
-		} else {
-			// Truncated chunked encoding, client reset mid-body, …
-			http.Error(w, fmt.Sprintf("reading request body: %v", err), http.StatusBadRequest)
-		}
-		return nil, false
-	}
-	if k := srvObs.Load(); k != nil {
-		k.requestBytes.Observe(int64(len(body)))
-	}
-	rt.InBytes = int64(len(body))
-	w.Header().Set(TraceIDHeader, rt.ID)
-	beginRequest(rt)
-	return body, true
-}
-
 // timedWriter accumulates each Write's wall time into the trace's
-// response_write stage and counts the bytes written. It wraps the
-// ResponseWriter on the streaming compress path, where response bytes
-// go out from inside the engine call.
+// response_write stage and counts the bytes written. serve wraps the
+// front's writer in one on the streamed compress path, where response
+// bytes go out from inside the engine call.
 type timedWriter struct {
 	w  io.Writer
 	rt *obs.RequestTrace
@@ -157,113 +108,103 @@ func (t *timedWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
-	rt := obs.NewRequestTrace("http", "compress")
-	rt.Level = s.cfg.LevelName
-	body, ok := s.gate(w, r, rt)
-	if !ok {
-		return
+// handle returns the handler of one POST route, op naming its
+// operation. Its steps, in order: the method and drain checks; admit,
+// which answers an unknown dictionary 400 and a full gate 429 before
+// the body is read; the capped body read; the headers; serve; and the
+// response write, unless serve streamed the response itself.
+func (s *Server) handle(op byte) http.HandlerFunc {
+	name, contentType, failStatus := "compress", "application/zlib", http.StatusInternalServerError
+	if op == OpDecompress {
+		// Input that does not inflate is the client's error.
+		name, contentType, failStatus = "decompress", "application/octet-stream", http.StatusBadRequest
 	}
-	defer s.release()
-	svcStart := time.Now()
-	dictID := r.Header.Get(DictHeader)
-	dictBytes, derr := s.resolveDict(dictID)
-	if derr != nil {
-		countError()
-		rt.SetErr(derr)
-		http.Error(w, derr.Error(), http.StatusBadRequest)
-		s.finishRequest(rt, time.Since(svcStart), 0)
-		return
-	}
-	w.Header().Set("Content-Type", "application/zlib")
-	// The body is an exact zlib artifact: an intermediary re-encoding
-	// it would break the Adler/DICTID framing byte-for-byte clients
-	// (and the content-addressed cache) depend on.
-	w.Header().Set("Cache-Control", "no-transform")
-	if dictID != "" {
-		w.Header().Set(DictHeader, dictID)
-	}
-	ctx := obs.ContextWithRequest(r.Context(), rt)
-	var written int64
-	var svcErr error
-	if s.cache != nil {
-		// Cache-fronted path: the response is a whole stored-or-computed
-		// artifact, written in one piece.
-		out, err := s.compressCached(ctx, body, dictID, dictBytes)
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		if s.draining.Load() {
+			http.Error(w, ErrDraining.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		rt := obs.NewRequestTrace("http", name)
+		rt.Level = s.cfg.LevelName
+		dictID := r.Header.Get(DictHeader)
+		dictBytes, err := s.admit(rt, dictID)
+		if errors.Is(err, ErrBusy) {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, err.Error(), http.StatusTooManyRequests)
+			return
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		defer s.release()
+		// Stage the whole request first, the way the paper's testbench
+		// stages a block in DDR2 before streaming it through the
+		// compressor. The cap turns a hostile Content-Length or an endless
+		// chunked body into a 413 instead of unbounded memory.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxRequestBytes)))
 		if err != nil {
 			countError()
-			svcErr = err
-			if ctx.Err() == nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, fmt.Sprintf("%v: request over the %d-byte cap", ErrTooLarge, s.cfg.MaxRequestBytes),
+					http.StatusRequestEntityTooLarge)
+			} else {
+				// Truncated chunked encoding, client reset mid-body, …
+				http.Error(w, fmt.Sprintf("reading request body: %v", err), http.StatusBadRequest)
 			}
-		} else {
+			return
+		}
+		h := w.Header()
+		h.Set(TraceIDHeader, rt.ID)
+		// A streamed compress sends the status line from inside serve,
+		// so a compress sets its body headers first; a decompress sets
+		// them once it has succeeded, so its 400 carries none.
+		if op == OpCompress {
+			bodyHeaders(h, contentType, dictID)
+		}
+		ctx := r.Context()
+		out, sent, start, err := s.serve(ctx, rt, &Message{Op: op, Payload: body, DictID: dictID}, dictBytes, w)
+		switch {
+		case err != nil:
+			// serve counted and traced the failure. Once a stream has
+			// sent bytes the status line is out, so the only honest
+			// signal left is the cut-short body; a vanished client gets
+			// nothing.
+			if sent == 0 && ctx.Err() == nil {
+				http.Error(w, err.Error(), failStatus)
+			}
+		case sent == 0:
+			if op == OpDecompress {
+				bodyHeaders(h, contentType, dictID)
+			}
 			wStart := time.Now()
 			n, werr := w.Write(out)
 			rt.AddWrite(time.Since(wStart))
-			written = int64(n)
-			svcErr = werr
+			sent, err = int64(n), werr
+			rt.SetErr(werr)
 		}
-	} else {
-		tw := &timedWriter{w: w, rt: rt}
-		svcErr = s.compress(ctx, body, dictBytes, tw)
-		written = tw.n
-		if svcErr != nil {
-			// Mid-stream failure: the status line is already out, so the
-			// only honest signal is an aborted response body.
-			countError()
+		if err == nil {
+			if k := srvObs.Load(); k != nil {
+				k.responseBytes.Observe(sent)
+			}
 		}
+		s.finishRequest(rt, time.Since(start), sent)
 	}
-	if svcErr == nil {
-		if k := srvObs.Load(); k != nil {
-			k.responseBytes.Observe(written)
-		}
-	}
-	rt.SetErr(svcErr)
-	s.finishRequest(rt, time.Since(svcStart), written)
 }
 
-func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
-	rt := obs.NewRequestTrace("http", "decompress")
-	rt.Level = s.cfg.LevelName
-	body, ok := s.gate(w, r, rt)
-	if !ok {
-		return
-	}
-	defer s.release()
-	svcStart := time.Now()
-	dictID := r.Header.Get(DictHeader)
-	dictBytes, derr := s.resolveDict(dictID)
-	if derr != nil {
-		countError()
-		rt.SetErr(derr)
-		http.Error(w, derr.Error(), http.StatusBadRequest)
-		s.finishRequest(rt, time.Since(svcStart), 0)
-		return
-	}
-	out, err := s.decompressDict(body, dictBytes)
-	// The inflate call is this request's "compress" stage (there is no
-	// engine involvement on the decompress path).
-	rt.AddCompress(time.Since(svcStart))
-	if err != nil {
-		countError()
-		rt.SetErr(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		s.finishRequest(rt, time.Since(svcStart), 0)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Cache-Control", "no-transform")
+// bodyHeaders sets the headers of a successful response body.
+func bodyHeaders(h http.Header, contentType, dictID string) {
+	h.Set("Content-Type", contentType)
+	// The body is an exact artifact: an intermediary re-encoding it
+	// would break the Adler/DICTID framing byte-for-byte clients (and
+	// the content-addressed cache) depend on.
+	h.Set("Cache-Control", "no-transform")
 	if dictID != "" {
-		w.Header().Set(DictHeader, dictID)
+		h.Set(DictHeader, dictID)
 	}
-	wStart := time.Now()
-	n, werr := w.Write(out)
-	rt.AddWrite(time.Since(wStart))
-	if werr == nil {
-		if k := srvObs.Load(); k != nil {
-			k.responseBytes.Observe(int64(n))
-		}
-	}
-	rt.SetErr(werr)
-	s.finishRequest(rt, time.Since(svcStart), int64(n))
 }

@@ -107,16 +107,6 @@ func SetObservability(reg *obs.Registry) {
 	srvObs.Store(k)
 }
 
-// beginRequest hands a gated request (slot held, payload read) to the
-// inspector's active set. The trace's identity fields and InBytes must
-// already be final — the inspector reads them lock-free of the request.
-func beginRequest(rt *obs.RequestTrace) {
-	if rt == nil {
-		return
-	}
-	inspector.Load().Begin(rt)
-}
-
 // finishRequest freezes the trace and fans it out: stage and latency
 // histograms, the slow/error log, and the inspector rings. engineWall
 // is the request's whole service interval (engine call and response

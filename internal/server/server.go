@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -63,15 +62,13 @@ type Config struct {
 	WriteTimeout time.Duration
 
 	// Resilient runs every compression on both fronts — preset-dictionary
-	// requests included — on deflate.ParallelCompress's hardened path:
-	// recovered worker panics, per-attempt deadlines, stored-block
-	// degradation — always-valid output under a hostile runtime.
-	// SegmentHook, MaxRetries and SegmentTimeout configure that path
-	// (SegmentHook is the fault-injection seam; see internal/faultinject).
-	Resilient      bool
-	SegmentHook    func(ctx context.Context, seg, attempt int) error
-	MaxRetries     int
-	SegmentTimeout time.Duration
+	// requests included — on deflate.ParallelCompress's hardened path
+	// with its default budget (two retries per segment, no per-attempt
+	// deadline): recovered worker panics, stored-block degradation —
+	// always-valid output under a hostile runtime. SegmentHook is that
+	// path's fault-injection seam (see internal/faultinject).
+	Resilient   bool
+	SegmentHook func(ctx context.Context, seg, attempt int) error
 
 	// Decode bounds the /decompress path (zero selects MaxOutputBytes =
 	// 16×MaxRequestBytes capped at 1 GiB, MaxBlocks = 1<<20).
@@ -193,12 +190,10 @@ func New(cfg Config) (*Server, error) {
 	s.tcp = NewTCPFront(s.serveTCP, cfg.connPolicy())
 	s.fp = configFingerprint(cfg)
 	s.popts = deflate.ParallelOpts{
-		Segment:           cfg.Segment,
-		Workers:           cfg.Workers,
-		Resilient:         cfg.Resilient,
-		MaxSegmentRetries: cfg.MaxRetries,
-		SegmentTimeout:    cfg.SegmentTimeout,
-		SegmentHook:       cfg.SegmentHook,
+		Segment:     cfg.Segment,
+		Workers:     cfg.Workers,
+		Resilient:   cfg.Resilient,
+		SegmentHook: cfg.SegmentHook,
 	}
 	if cfg.CacheBytes > 0 && !cfg.Params.HasCustomHash() {
 		s.cache = cache.New(cache.Config{MaxBytes: cfg.CacheBytes})
@@ -218,24 +213,73 @@ func (s *Server) ActiveConns() int64 { return s.tcp.ActiveConns() }
 // Draining reports whether the drain state machine has left "serving".
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// acquire takes an engine slot without blocking; callers bounce the
-// request with ErrBusy when it fails. Backpressure is deliberate
-// rejection, not queueing: a client retry beats an invisible queue.
-func (s *Server) acquire() bool {
+// admit is the first step of every request on both fronts. It resolves
+// the request's dictionary before anything else, so an unknown one is a
+// counted error wrapping ErrUnknownDict that takes no engine slot. Then
+// it takes a slot without blocking and stamps the trace's slot wait; a
+// full gate returns ErrBusy. Backpressure is deliberate rejection, not
+// queueing: a client retry beats an invisible queue. On success the
+// caller holds the slot and must release it.
+func (s *Server) admit(rt *obs.RequestTrace, dictID string) ([]byte, error) {
+	dictBytes, err := s.resolveDict(dictID)
+	if err != nil {
+		countError()
+		return nil, err
+	}
 	select {
 	case s.slots <- struct{}{}:
-		n := s.inflight.Add(1)
-		if k := srvObs.Load(); k != nil {
-			k.inflight.Set(float64(n))
-			k.requests.Inc()
-		}
-		return true
 	default:
 		if k := srvObs.Load(); k != nil {
 			k.busyRejects.Inc()
 		}
-		return false
+		return nil, ErrBusy
 	}
+	n := s.inflight.Add(1)
+	if k := srvObs.Load(); k != nil {
+		k.inflight.Set(float64(n))
+		k.requests.Inc()
+	}
+	rt.SlotAcquired()
+	return dictBytes, nil
+}
+
+// serve is the second step: it runs one admitted request, req, and is
+// the only code that chooses how. It sets the trace's input size,
+// registers the request with the inspector, which reads the trace's
+// identity fields from then on, and observes server_request_bytes.
+// Then it runs a decompress, charged to the compress stage; a compress
+// streamed into w, when no cache is configured and the front passes a
+// writer; or else a cached compress. A failure is counted in
+// server_errors_total and recorded on the trace.
+//
+// out is the response payload for the front to write. sent counts the
+// bytes serve streamed into w itself; a zlib stream is never empty, so
+// sent is 0 exactly when the response is still the front's to write.
+// start is when service began: after its response write the front
+// measures the engine wall from it for finishRequest.
+func (s *Server) serve(ctx context.Context, rt *obs.RequestTrace, req *Message, dictBytes []byte, w io.Writer) (out []byte, sent int64, start time.Time, err error) {
+	rt.InBytes = int64(len(req.Payload))
+	inspector.Load().Begin(rt)
+	if k := srvObs.Load(); k != nil {
+		k.requestBytes.Observe(rt.InBytes)
+	}
+	start = time.Now()
+	switch {
+	case req.Op == OpDecompress:
+		out, err = s.decompressDict(req.Payload, dictBytes)
+		rt.AddCompress(time.Since(start))
+	case w != nil && s.cache == nil:
+		tw := &timedWriter{w: w, rt: rt}
+		err = s.compress(obs.ContextWithRequest(ctx, rt), req.Payload, dictBytes, tw)
+		sent = tw.n
+	default:
+		out, err = s.compressCached(obs.ContextWithRequest(ctx, rt), req.Payload, req.DictID, dictBytes)
+	}
+	if err != nil {
+		countError()
+		rt.SetErr(err)
+	}
+	return out, sent, start, err
 }
 
 func (s *Server) release() {
@@ -319,11 +363,12 @@ func (s *Server) Close() error {
 	return s.tcp.Close()
 }
 
-// serveTCP is the framed front's engine handler. Every response
-// carries the server-assigned trace ID; requests that acquired an
-// engine slot additionally appear in the /debug/requests inspector.
-// Failures that keep the connection usable (busy, unknown dictionary,
-// corrupt decompress input) are answered in-band.
+// serveTCP is the framed front's engine handler: a new trace, admit,
+// serve, the reply, finishRequest. Every response carries the
+// server-assigned trace ID; admitted requests additionally appear in
+// the /debug/requests inspector. Rejections and failures that keep the
+// connection usable (busy, unknown dictionary, corrupt decompress
+// input) are answered in-band.
 func (s *Server) serveTCP(r Reply, msg *Message) {
 	op := "compress"
 	if msg.Op == OpDecompress {
@@ -331,42 +376,22 @@ func (s *Server) serveTCP(r Reply, msg *Message) {
 	}
 	rt := obs.NewRequestTrace("tcp", op)
 	rt.Level = s.cfg.LevelName
-	rt.InBytes = int64(len(msg.Payload))
-	// Resolve the dictionary negotiation before taking an engine slot:
-	// an unknown ID is a deterministic client error that should not
-	// consume capacity.
-	dictBytes, err := s.resolveDict(msg.DictID)
+	dictBytes, err := s.admit(rt, msg.DictID)
 	if err != nil {
-		countError()
-		rt.SetErr(err)
-		respond(r, rt, StatusUnknownDict, []byte(err.Error())) //nolint:errcheck
-		return
-	}
-	if !s.acquire() {
-		respond(r, rt, StatusBusy, []byte("server at capacity, retry")) //nolint:errcheck
+		detail := err.Error()
+		if errors.Is(err, ErrBusy) {
+			detail = "server at capacity, retry"
+		}
+		respond(r, rt, StatusFor(err), []byte(detail)) //nolint:errcheck
 		return
 	}
 	defer s.release()
-	rt.SlotAcquired()
-	beginRequest(rt)
-	if k := srvObs.Load(); k != nil {
-		k.requestBytes.Observe(int64(len(msg.Payload)))
-	}
-	svcStart := time.Now()
-	var out []byte
-	if msg.Op == OpCompress {
-		out, err = s.compressCached(obs.ContextWithRequest(context.Background(), rt), msg.Payload, msg.DictID, dictBytes)
-	} else {
-		out, err = s.decompressDict(msg.Payload, dictBytes)
-		rt.AddCompress(time.Since(svcStart))
-	}
+	out, _, start, err := s.serve(context.Background(), rt, msg, dictBytes, nil)
 	if err != nil {
 		// Compress failures map to StatusInternal, bad decompress input
 		// to StatusCorrupt; the connection stays usable either way.
-		countError()
-		rt.SetErr(err)
 		respond(r, rt, StatusFor(err), []byte(err.Error())) //nolint:errcheck
-		s.finishRequest(rt, time.Since(svcStart), 0)
+		s.finishRequest(rt, time.Since(start), 0)
 		return
 	}
 	sent := int64(len(out))
@@ -375,7 +400,7 @@ func (s *Server) serveTCP(r Reply, msg *Message) {
 		rt.SetErr(err)
 		sent = 0
 	}
-	s.finishRequest(rt, time.Since(svcStart), sent)
+	s.finishRequest(rt, time.Since(start), sent)
 }
 
 // respond answers r stamped with rt's trace ID and charges the write
@@ -396,14 +421,4 @@ func (s *Server) compress(ctx context.Context, data, dict []byte, sink io.Writer
 	o.Dict, o.Sink = dict, sink
 	_, _, err := deflate.ParallelCompress(ctx, data, s.cfg.Params, o)
 	return err
-}
-
-// decompress inflates untrusted input under the configured resource
-// bounds; every rejection wraps ErrCorrupt and it never panics.
-func (s *Server) decompress(z []byte) ([]byte, error) {
-	out, err := deflate.ZlibDecompressLimited(z, s.cfg.Decode)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return out, nil
 }
